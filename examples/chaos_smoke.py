@@ -166,12 +166,12 @@ def main() -> int:
             restarts = {s.index: s.restarts for s in stats.shards}
             assert stats.sessions == SESSIONS, stats
             assert all(r >= 1 for r in restarts.values()), restarts
-            # With direct routing a kill surfaces to clients as a
-            # dropped data-plane connection, so the supervisor's
-            # shard_failures counter (relayed requests failed in
-            # flight) only moves when the storm catches a fallback
-            # relay; the client retry count above is the storm's
-            # client-side witness either way.
+            # A kill surfaces to clients as a dropped data socket and
+            # refused routes, so the supervisor's shard_failures
+            # counter (its own requests failed in flight) only moves
+            # when the storm catches a heartbeat or warm-up read; the
+            # client retry count above is the storm's client-side
+            # witness either way.
             assert stats.shard_failures >= 1 or retries >= 1, stats
             control.call("service.shutdown")
         server.wait(timeout=60)

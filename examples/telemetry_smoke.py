@@ -1,4 +1,4 @@
-"""Telemetry smoke test: one stitched trace across four processes.
+"""Telemetry smoke test: one stitched trace from client to shard.
 
 The scenario CI runs (the ``telemetry-smoke`` job):
 
@@ -6,20 +6,21 @@ The scenario CI runs (the ``telemetry-smoke`` job):
    ``--trace`` and ``--metrics`` — the supervisor writes its own trace
    file and hands each shard ``--trace FILE.shard<i>``;
 2. this process labels itself ``client``, turns tracing on, and drives
-   several sessions of edit commands through the typed client — every
-   request carries a fresh ``trace_id`` and the client root span's
-   reference in its envelope;
-3. assert every response decomposes into the wire stages
-   (``supervisor_queue`` / ``relay`` / ``shard_queue`` / ``handler`` /
-   ``fsync``) via :attr:`ServiceClient.last_stages`;
+   several sessions of edit commands through the typed client straight
+   to their shards — every request carries a fresh ``trace_id`` and
+   the client root span's reference in its envelope;
+3. assert every response decomposes into the shard's stages
+   (``direct`` / ``shard_queue`` / ``handler`` / ``fsync``) via
+   :attr:`ServiceClient.last_stages`;
 4. ask for ``service.telemetry`` and validate the result shape: merged
    quantile histograms, per-shard snapshots, the ``--slow`` flight
    recorder — then render it with :mod:`repro.service.top`;
 5. shut down, collect the four trace files (client, supervisor, two
    shards), and run ``tools/check_trace.py`` over all of them at once:
    every cross-process ``xparent`` link must resolve and every span
-   carrying a ``trace_id`` must chain back to a ``client.request``
-   root — the stitched-trace guarantee;
+   carrying a ``trace_id`` — each shard's ``shard.request`` and its
+   children — must chain back to a ``client.request`` root, the
+   stitched-trace guarantee;
 6. assert the supervisor's ``--metrics`` export includes the
    shard-process counters under ``shard<i>.`` prefixes.
 
@@ -52,10 +53,9 @@ SHARDS = 2
 SESSIONS = 4
 EDITS_PER_SESSION = 6
 
-#: Stage keys every *relayed* sharded response must decompose into
-#: ("direct" is the data-plane analog of "relay" and never appears on
-#: a relayed response; direct_smoke.py covers that path).
-WIRE_STAGES = tuple(s for s in STAGES if s not in ("client", "direct"))
+#: Stage keys every sharded response must decompose into: the shard's
+#: own turnaround and its parts (``client`` is added client-side).
+WIRE_STAGES = tuple(s for s in STAGES if s != "client")
 
 
 def start_server(tmp: Path) -> tuple[subprocess.Popen, str, int]:
@@ -82,11 +82,8 @@ def start_server(tmp: Path) -> tuple[subprocess.Popen, str, int]:
 
 def run_session(host: str, port: int, name: str, failures: list) -> None:
     try:
-        # This smoke validates the *relay* path's stitched trace
-        # (client → supervisor → relay.hop → shard), so pin the relay;
-        # the direct data plane has its own smoke (direct_smoke.py).
         with ServiceClient(
-            host, port, session=name, retry=RetryPolicy(seed=0), direct=False
+            host, port, session=name, retry=RetryPolicy(seed=0)
         ) as client:
             client.call("new_cell", name="smoke")
             client.call("create", at=(0, 0), cell_name="nand", name="g0")
@@ -97,11 +94,12 @@ def run_session(host: str, port: int, name: str, failures: list) -> None:
                 f"{name}: response missing stage(s) {missing}: "
                 f"{client.last_stages}"
             )
-            # Stages nest: the client round trip contains the relay
-            # hop, which contains the shard-side work.
+            # Stages nest: the client round trip contains the shard's
+            # turnaround, which contains the handler.
+            stages = client.last_stages
             assert (
-                client.last_stages["client"] >= client.last_stages["relay"]
-            ), client.last_stages
+                stages["client"] >= stages["direct"] >= stages["handler"]
+            ), stages
     except Exception as exc:  # pragma: no cover - failure path
         failures.append((name, exc))
 
@@ -120,10 +118,8 @@ def check_telemetry(host: str, port: int) -> None:
         assert isinstance(hist["p99"], float), (stage, hist)
     assert len(result.shards) == SHARDS
     assert all(s.alive for s in result.shards)
-    # Relayed requests are accounted by the supervisor's hub (the
-    # shards' own rpc.* histograms carry only direct-path traffic, so
-    # each request is counted exactly once); the per-shard snapshots
-    # still arrive via the heartbeat piggyback.
+    # Every request is accounted by the shard that executed it; the
+    # per-shard snapshots arrive via the heartbeat piggyback.
     assert all(s.metrics is not None for s in result.shards), result.shards
     assert result.slowest, "flight recorder empty after traffic"
     worst = result.slowest[0]
@@ -147,8 +143,6 @@ def check_stitched_trace(tmp: Path) -> None:
             sys.executable, str(REPO_ROOT / "tools" / "check_trace.py"),
             *map(str, files),
             "--require", "client.request",
-            "--require", "supervisor.request",
-            "--require", "relay.hop",
             "--require", "shard.request",
             "--require", "handler.execute",
             "--require-root", "client.request",
@@ -157,7 +151,8 @@ def check_stitched_trace(tmp: Path) -> None:
     )
     sys.stdout.write(proc.stdout)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    print("ok: stitched 4-process trace passes cross-process validation")
+    print("ok: stitched client/supervisor/shard traces pass cross-process "
+          "validation")
 
 
 def check_metrics_export(tmp: Path) -> None:

@@ -53,9 +53,9 @@ class RequestEnvelope:
     v: int = PROTOCOL_VERSION
     #: Distributed-trace context: ``{"id": trace id, "parent":
     #: "<process label>:<span id>"}``.  A client opens the root span
-    #: for a request and sends its reference here; the supervisor
-    #: relays with its own relay span as the parent, so one request
-    #: yields a single stitched trace across client, supervisor and
+    #: for a request and sends its reference here; the shard that
+    #: executes the request parents its own spans on it, so one
+    #: request yields a single trace stitched across client and
     #: shard.  ``None`` (the default) everywhere tracing is off.
     trace: dict | None = None
     #: Route-lease generation for a **direct-to-shard** request.  A
@@ -63,8 +63,8 @@ class RequestEnvelope:
     #: from its ``service.route`` lease here; the shard refuses the
     #: request with ``service.moved`` when the generation is stale
     #: (the shard restarted) or the session hashes to a different
-    #: shard.  ``None`` (and omitted from the wire) on the relay path,
-    #: so old servers never see the field.
+    #: shard.  ``None`` (and omitted from the wire) on every other
+    #: request, so old servers never see the field.
     generation: int | None = None
 
 
@@ -105,10 +105,11 @@ class ResponseEnvelope:
     error: ErrorInfo | None = None
     v: int = PROTOCOL_VERSION
     #: Per-request stage decomposition in integer microseconds
-    #: (``{"shard_queue": ..., "handler": ..., "fsync": ...}`` from the
-    #: shard, plus ``supervisor_queue``/``relay`` stamped by the
-    #: supervisor on the way back).  Telemetry, not contract: absent
-    #: (``None``) when the server has nothing to report.
+    #: (``{"shard_queue": ..., "handler": ..., "fsync": ...}``, plus
+    #: ``direct`` on a direct-to-shard request; see
+    #: :data:`repro.service.telemetry.STAGES`).  Telemetry, not
+    #: contract: absent (``None``) when the server has nothing to
+    #: report.
     stages: dict | None = None
 
 
@@ -155,8 +156,8 @@ def encode_request(
     )
     data = to_jsonable(envelope)
     if data["generation"] is None:
-        # Omitted, not null: relay-path lines stay parseable by
-        # pre-direct-routing servers (strict codec rejects unknowns).
+        # Omitted, not null: lines without a route lease stay parseable
+        # by pre-direct-routing servers (strict codec rejects unknowns).
         del data["generation"]
     return canonical_json(data)
 

@@ -146,9 +146,9 @@ class DetachedSpan:
     """An open span that never touches the thread-local stack.
 
     The request path of the service opens spans that end on a
-    different thread (shard worker) or interleave with other requests
-    on one event loop (supervisor relay) — both would corrupt the
-    parent stack a :class:`Span` relies on.  A detached span allocates
+    different thread (the session's worker) while other requests
+    interleave on the event loop — either would corrupt the parent
+    stack a :class:`Span` relies on.  A detached span allocates
     its id eagerly (so children can reference it via :attr:`ref`
     before it closes), takes no implicit parent, and simply records
     itself when closed.

@@ -8,20 +8,23 @@ journal, and trace/metrics scope.  The wire protocol is version 1 of
 :mod:`repro.api.wire`: newline-delimited JSON, no dependencies,
 talkable with ``nc``.
 
-Two deployment shapes, same wire format:
+Two deployment shapes, same wire format, one socket front end
+(:mod:`repro.service.frontend`):
 
 * single process — :mod:`repro.service.server`
   (``python -m repro serve``);
-* supervised shards — :mod:`repro.service.supervisor` routing over
-  :mod:`repro.service.shard` worker subprocesses
-  (``python -m repro serve --shards N``), with crash isolation,
-  admission control and WAL-backed restart recovery.
+* supervised shards — :mod:`repro.service.shard` worker subprocesses,
+  each the same server, under the :mod:`repro.service.supervisor`
+  control plane (``python -m repro serve --shards N``): consistent-
+  hash routing that clients follow straight to the owning shard,
+  crash isolation, admission control and WAL-backed restart recovery.
 
-Plus :mod:`repro.service.client` (a small blocking client with
-retry/backoff), :mod:`repro.service.control` (the ``service.*``
-control commands), :mod:`repro.service.health` (restart backoff and
-the crash-loop circuit breaker) and :mod:`repro.service.chaos`
-(deterministic fault injection via ``REPRO_CHAOS``).
+Plus :mod:`repro.service.client` (a small blocking client that follows
+routes, with retry/backoff), :mod:`repro.service.control` (the
+``service.*`` control commands), :mod:`repro.service.health` (restart
+backoff and the crash-loop circuit breaker) and
+:mod:`repro.service.chaos` (deterministic fault injection via
+``REPRO_CHAOS``).
 """
 
 from repro.service.chaos import ChaosPolicy

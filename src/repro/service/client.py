@@ -12,42 +12,45 @@ raise :class:`repro.errors.ReproError` carrying the wire error code::
         routed = c.call("do_route")          # RouteCommandResult
         print(routed.wires, routed.channels)
 
-**Two wires, one client.**  The *control wire* is the socket given to
-the constructor — the supervisor (or single-process server).  On
-connect the client sends ``service.hello`` once; when the server
-advertises the ``direct_routing`` capability, session commands take
-the *data plane*: the client asks ``service.route`` for the owning
-shard's address (a lease with a generation number and a TTL), dials
-the shard directly, and stamps the generation on every request.  The
+**Control wire, data wire.**  The socket given to the constructor is
+the *control wire*: the supervisor, or a single-process server.  On
+connect the client sends ``service.hello`` once.  A single-process
+server executes session commands on that same socket.  A supervisor
+executes none; it advertises the ``direct_routing`` capability, so the
+client asks ``service.route`` for the owning shard's address (a lease
+with a generation number and a TTL), dials the shard, and stamps the
+generation on every session command it sends there.  The
 ``service.*`` control plane always stays on the control wire.
 
-The direct path degrades, never breaks:
+Nothing has been sent while a route is still being found, so these
+are retried for *every* method, after the server's ``retry_after_ms``
+hint:
 
-* a route answering ``direct=False`` (shard down, single process)
-  means *relay for now* — the client sends on the control wire and
-  re-asks after the lease interval;
-* a dead or unreachable shard socket drops the client back to the
-  relay path immediately (the supervisor still forwards);
-* ``service.moved`` — stale generation after a shard restart, or a
-  ring move — refreshes the route: when the error's ``detail`` carries
-  the new address and generation the client adopts it in place,
-  otherwise it re-asks the supervisor.
+* a route the supervisor refuses — the shard is down and restarting
+  (``service.shard_failed``) or crash-looping (``service.overloaded``);
+* a shard socket that refuses the dial.
 
-The client rides out transient failures by itself (capped exponential
-backoff with jitter, see :class:`RetryPolicy`):
+``service.moved`` — a stale generation after a shard restart, or a
+ring move — refreshes the route: when the error's ``detail`` carries
+the new address and generation the client adopts it in place,
+otherwise it asks the supervisor again.
+
+Once a command has been sent, the client rides out transient failures
+by itself (capped exponential backoff with jitter, see
+:class:`RetryPolicy`):
 
 * **connect** retries ``ConnectionRefusedError`` until the window
   closes — a client started moments before its server wins the race;
 * ``service.overloaded`` / ``service.backpressure`` are always
   retried — nothing executed, and the server's ``retry_after_ms``
   pacing hint is honored when present;
-* ``service.shard_failed``, ``service.moved`` and a dropped connection
-  are retried (after re-routing / reconnecting) only for *replayable*
-  commands, read-only queries and the ``service.*`` control plane.  A
-  replayable command that reached the WAL before the crash is
-  re-applied by replay, so the retry converges on the same state; a
-  non-replayable command (plots, file writes) is not known to be
-  idempotent and its failure is surfaced instead.
+* ``service.shard_failed``, ``service.moved`` and a dropped
+  connection are retried (after re-routing / reconnecting) only for
+  *replayable* commands, read-only queries and the ``service.*``
+  control plane.  A replayable command that reached the WAL before
+  the crash is re-applied by replay, so the retry converges on the
+  same state; a non-replayable command (plots, file writes) is not
+  known to be idempotent and its failure is surfaced instead.
 
 Everything else — command errors, bad requests, shutdown — raises
 immediately; retrying cannot help.
@@ -76,10 +79,9 @@ from repro.service.telemetry import us as _us
 #: start the work, so a retry can never duplicate anything.
 RETRY_ALWAYS = frozenset({"service.overloaded", "service.backpressure"})
 
-#: Error codes retried only when the method is safe to re-run: the
-#: work may have started (even reached the WAL) before the failure.
-#: ``service.moved`` sits here too: the refusing shard executed
-#: nothing, but the attempt that provoked the re-route may have.
+#: Error codes retried only when the method is safe to re-run — or
+#: when the request was never sent (a refused route): once sent, the
+#: work may have started, even reached the WAL, before the failure.
 RETRY_IF_REPLAYABLE = frozenset({"service.shard_failed", "service.moved"})
 
 
@@ -148,17 +150,12 @@ class ServiceClient:
         retry: RetryPolicy | None = None,
         rng: random.Random | None = None,
         sleep=None,
-        direct: bool | None = None,
     ) -> None:
         self.host = host
         self.port = port
         self.session = session
         self.timeout = timeout
         self.retry = retry if retry is not None else RetryPolicy()
-        #: ``False`` pins every request to the control wire; ``True``
-        #: or ``None`` (the default) use the direct data plane whenever
-        #: the server's ``service.hello`` advertises ``direct_routing``.
-        self.direct = direct
         #: The jitter source.  Injectable two ways: pass ``rng`` to
         #: substitute the whole generator (a stub returning 0.0 makes
         #: delays exact), or set ``RetryPolicy.seed`` to keep real
@@ -169,17 +166,13 @@ class ServiceClient:
         self._sleep = sleep if sleep is not None else time.sleep
         self._sock: socket.socket | None = None
         self._file = None
-        #: The direct wire to the session's shard (lazy: ``None`` until
-        #: the first routed request, and again after every fallback).
+        #: The data wire to the session's shard (lazy: ``None`` until
+        #: the first routed request, and again after every failure).
         self._direct_sock: socket.socket | None = None
         self._direct_file = None
         self._direct_target: tuple[str, int] | None = None
         self._route: control.RouteResult | None = None
         self._route_expires = 0.0
-        #: Monotonic deadline before which the client relays without
-        #: re-asking for a route (set when the server declines a direct
-        #: path or the shard socket refuses the dial).
-        self._relay_until = 0.0
         self._next_id = 0
         #: What the server's ``service.hello`` advertised — empty for
         #: pre-handshake servers, which reject the command.
@@ -191,11 +184,9 @@ class ServiceClient:
         #: The delay handed to each retry sleep, in order (tests assert
         #: the schedule; bounded by attempts so it cannot grow unruly).
         self.retry_delays: list[float] = []
-        #: Requests answered over the shard's own data socket vs. the
-        #: control wire, and how many ``service.route`` round trips the
-        #: lease cache needed.
+        #: Requests answered over the shard's own data socket, and how
+        #: many ``service.route`` round trips the lease cache needed.
         self.direct_calls = 0
-        self.relayed_calls = 0
         self.route_refreshes = 0
         #: The last response's stage decomposition (integer µs), with
         #: the client-measured round trip added under ``"client"`` —
@@ -252,57 +243,45 @@ class ServiceClient:
 
     # -- routing -------------------------------------------------------------
 
-    def _direct_enabled(self) -> bool:
-        return self.direct is not False and "direct_routing" in self.capabilities
+    def _routed(self, method: str) -> bool:
+        """Does ``method`` travel the data wire to the session's shard?"""
+        return (
+            self.session is not None
+            and "direct_routing" in self.capabilities
+            and not method.startswith("service.")
+        )
 
-    def _route_for(self, now: float) -> control.RouteResult | None:
-        """The cached route lease, refreshed through the supervisor
-        when missing or expired; ``None`` means *relay for now*."""
+    def _lease(self) -> control.RouteResult:
+        """The cached route lease, renewed through the supervisor when
+        missing or expired.  Single-shot: a refusal raises into the
+        request loop, which retries it."""
+        now = time.monotonic()
         if self._route is not None and now < self._route_expires:
             return self._route
         self._route = None
-        answer = self.request(
-            "service.route", control.RouteRequest(session=self.session)
+        answer = self._round_trip(
+            "service.route",
+            control.RouteRequest(session=self.session),
+            file=self._file,
         )
         self.route_refreshes += 1
-        lease = max(answer.lease_ms, 0) / 1000.0
-        if answer.direct and answer.host and answer.port is not None:
-            self._route = answer
-            self._route_expires = time.monotonic() + lease
-            return answer
-        # The server declined a direct path (shard down or restarting):
-        # relay until the hinted interval passes, then ask again.
-        self._relay_until = time.monotonic() + (lease if lease > 0 else 0.25)
-        return None
+        if not answer.direct:
+            raise ServiceError(
+                f"server offered no route for session {self.session!r}"
+            )
+        self._route = answer
+        self._route_expires = now + max(answer.lease_ms, 0) / 1000.0
+        return answer
 
-    def _direct_for(self, method: str) -> control.RouteResult | None:
-        """The route to send ``method`` on, with the direct wire
-        connected — or ``None`` when this request must relay."""
-        if self.session is None or not self._direct_enabled():
-            return None
-        if method in CONTROL or method.startswith("service."):
-            return None
-        now = time.monotonic()
-        if now < self._relay_until:
-            return None
-        route = self._route_for(now)
-        if route is None:
-            return None
+    def _dial(self, route: control.RouteResult) -> None:
+        """Connect the data wire to ``route``'s shard, unless it is."""
         target = (route.host, route.port)
-        if self._direct_file is None or self._direct_target != target:
-            try:
-                self._connect_direct(target)
-            except OSError:
-                # The lease points at a socket that will not answer;
-                # drop to the relay path and re-route shortly.
-                self._drop_direct(forget_route=True)
-                self._relay_until = time.monotonic() + 0.5
-                return None
-        return route
-
-    def _connect_direct(self, target: tuple[str, int]) -> None:
+        if self._direct_file is not None and self._direct_target == target:
+            return
         self._close_direct()
-        self._direct_sock = socket.create_connection(target, timeout=self.timeout)
+        self._direct_sock = socket.create_connection(
+            target, timeout=self.timeout
+        )
         self._direct_file = self._direct_sock.makefile("rwb")
         self._direct_target = target
 
@@ -321,11 +300,10 @@ class ServiceClient:
             self._direct_sock = None
         self._direct_target = None
 
-    def _drop_direct(self, *, forget_route: bool = False) -> None:
+    def _forget_route(self) -> None:
         self._close_direct()
-        if forget_route:
-            self._route = None
-            self._route_expires = 0.0
+        self._route = None
+        self._route_expires = 0.0
 
     def _absorb_moved(self, exc: ReproError) -> None:
         """Fold a ``service.moved`` into the route cache: adopt the
@@ -364,32 +342,23 @@ class ServiceClient:
     def request(self, method: str, request):
         """Round-trip an already-built request dataclass, retrying
         transient failures per the client's :class:`RetryPolicy`."""
+        routed = self._routed(method)
         for attempt in range(max(1, self.retry.attempts)):
             last_attempt = attempt >= self.retry.attempts - 1
+            on_direct = sent = False
             try:
-                route = self._direct_for(method)
-                if route is not None:
-                    try:
-                        result = self._round_trip(
-                            method,
-                            request,
-                            file=self._direct_file,
-                            generation=route.generation,
-                        )
-                    except (ConnectionError, BrokenPipeError, OSError):
-                        # The shard socket died mid-request; whether it
-                        # reached the shard is unknown — same contract
-                        # as shard_failed.  The control wire is fine:
-                        # fall back to relay, do not reconnect it.
-                        self._drop_direct(forget_route=True)
-                        if last_attempt or not _replay_safe(method):
-                            raise
-                        self._pause(self.retry.delay(attempt, self._rng))
-                        continue
+                file, generation = self._file, None
+                if routed:
+                    route = self._lease()
+                    on_direct = True
+                    self._dial(route)
+                    file, generation = self._direct_file, route.generation
+                sent = True
+                result = self._round_trip(
+                    method, request, file=file, generation=generation
+                )
+                if on_direct:
                     self.direct_calls += 1
-                    return result
-                result = self._round_trip(method, request, file=self._file)
-                self.relayed_calls += 1
                 return result
             except ReproError as exc:
                 code = getattr(exc, "code", None)
@@ -399,20 +368,24 @@ class ServiceClient:
                     raise
                 if code in RETRY_ALWAYS:
                     pass
-                elif code in RETRY_IF_REPLAYABLE and _replay_safe(method):
+                elif code in RETRY_IF_REPLAYABLE and (
+                    not sent or _replay_safe(method)
+                ):
                     pass
                 else:
                     raise
                 hint = getattr(exc, "retry_after_ms", None)
                 self._pause(self.retry.delay(attempt, self._rng, hint))
-            except (ConnectionError, BrokenPipeError, OSError):
-                # The control socket itself failed; whether the request
-                # reached the server is unknown — same contract as
-                # shard_failed.
-                if last_attempt or not _replay_safe(method):
+            except OSError:
+                # A wire failed; whether a sent request reached the
+                # server is unknown — same contract as shard_failed.
+                if on_direct:
+                    self._forget_route()
+                if last_attempt or (sent and not _replay_safe(method)):
                     raise
                 self._pause(self.retry.delay(attempt, self._rng))
-                self._reconnect()
+                if not on_direct:
+                    self._reconnect()
         raise AssertionError("unreachable")  # pragma: no cover
 
     def _pause(self, delay: float) -> None:
@@ -424,7 +397,7 @@ class ServiceClient:
         self._next_id += 1
         id = self._next_id
         # The root span of the distributed trace: its reference rides
-        # the envelope so supervisor and shard spans stitch back to it.
+        # the envelope so the server's spans stitch back to it.
         span = trace.begin("client.request", method=method)
         context = None
         if span.ref is not None:

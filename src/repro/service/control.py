@@ -14,7 +14,8 @@ Three of them form the negotiated routing handshake:
 * ``service.route`` — the supervisor maps a session id to its owning
   shard's data-socket address plus a lease (generation number + TTL).
   Clients dial the shard directly and re-route when the lease expires
-  or a ``service.moved`` error says the generation went stale.
+  or a ``service.moved`` error says the generation went stale; a down
+  shard is answered with an error carrying a retry hint.
 * ``service.describe`` — the typed registry exported as a
   machine-readable :class:`repro.api.manifest.Manifest`.
 """
@@ -207,9 +208,11 @@ class HelloResult:
 @dataclass(frozen=True)
 class RouteRequest:
     """Where does this session live?  Also performs admission: routing
-    an unknown session name claims it (subject to the session cap), so
-    the route errors carry the same codes a relayed first command
-    would."""
+    an unknown session name claims it (subject to the session cap).
+    A supervisor answers for a down shard with an error instead of a
+    route — ``service.shard_failed`` while it restarts,
+    ``service.overloaded`` while its crash-loop circuit is open — each
+    with a ``retry_after_ms`` hint for when to ask again."""
 
     session: str
 
@@ -217,9 +220,10 @@ class RouteRequest:
 @dataclass(frozen=True)
 class RouteResult:
     session: str
-    #: False when the server cannot (or will not) offer a direct path
-    #: right now — single-process, shard down/restarting — in which
-    #: case the client must relay and may re-ask after ``lease_ms``.
+    #: True when the answer names the session's shard, which a
+    #: supervisor always does.  A single-process server answers
+    #: False: the connection the client already holds is where its
+    #: session commands execute.
     direct: bool
     shard: int | None = None
     host: str | None = None

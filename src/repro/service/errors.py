@@ -72,21 +72,20 @@ class ShutdownError(ServiceError):
 
 
 class ShardFailedError(ServiceError):
-    """The shard hosting the session died with this request in flight
-    (or is currently restarting).  The command may or may not have
-    reached the session's WAL before the crash; acknowledged history is
-    preserved by salvage + replay when the shard comes back.  Clients
-    may retry replayable commands — the session resumes where its WAL
-    left off.  ``retry_after_ms``, when set, estimates how long the
-    restart will take; ``detail`` names the shard and the generation
-    the restart will supersede."""
+    """The session's shard is down: it died, or is restarting.  The
+    supervisor answers routes to it this way, and fails its own
+    requests that were in flight when it died.  A session command the
+    shard executed before dying is in its WAL, and comes back by
+    salvage + replay when the shard restarts.  ``retry_after_ms``
+    estimates how long the restart will take; ``detail`` names the
+    shard and the generation the restart will supersede."""
 
     code = "service.shard_failed"
 
 
 class OverloadedError(ServiceError):
-    """Admission control refused the request — per-shard queue depth
-    over the shed threshold, or the shard's crash-loop circuit open.
+    """Admission control refused the request — the shard's in-flight
+    commands over the shed threshold, or its crash-loop circuit open.
     Nothing was executed; the request is always safe to retry after
     ``retry_after_ms``."""
 
@@ -94,11 +93,13 @@ class OverloadedError(ServiceError):
 
 
 class SessionMovedError(ServiceError):
-    """A direct-to-shard request landed on the wrong shard or carried
-    a stale route-lease generation.  Nothing was executed.  ``detail``
-    carries the owner's coordinates when the shard knows them (its own
-    address + current generation for a stale lease); clients refresh
-    their route and retry replayable commands, or fall back to the
-    supervisor relay."""
+    """The request reached a process that does not execute it: a shard
+    that is not the session's ring owner, a shard that restarted since
+    the request's route lease was issued, or the supervisor (which
+    executes no session command).  Nothing was executed.  ``detail``
+    carries the owner's coordinates when the answering process knows
+    them — the address and current generation for a stale lease or a
+    command sent to the supervisor.  Clients adopt them, or ask
+    ``service.route`` again, and retry replayable commands."""
 
     code = "service.moved"

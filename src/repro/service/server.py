@@ -21,6 +21,12 @@ with its client — can disturb another session's state.  With
 checkpointed on graceful shutdown; an existing WAL for a session name
 is salvaged and replayed when the session opens, which is the paper's
 REPLAY recovery story, per seat.
+
+The socket side — accept loop, request lines, the ``service.*``
+dispatch, graceful drain — is the shared
+:class:`~repro.service.frontend.LineServer`.  A shard of the sharded
+deployment is this same server in its own process
+(:mod:`repro.service.shard`).
 """
 
 from __future__ import annotations
@@ -28,38 +34,31 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
-import json
 import os
-import re
 import signal
 import sys
 from pathlib import Path
 
 from repro.api import wire
-from repro.api.codec import from_jsonable
-from repro.api.errors import BadRequest
-from repro.api.manifest import build_manifest
 from repro.api.session import Session
 from repro.api.store import MemoryStore
 from repro.api.types import PROTOCOL_VERSION
-from repro.errors import ReproError
 from repro.errors import error_code as wire_error_code
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
 from repro.service import control, telemetry
 from repro.service.errors import (
     BackpressureError,
-    BadSessionName,
     OverloadedError,
     ServiceError,
     ServiceTimeout,
-    SessionLimitError,
     SessionMovedError,
-    ShutdownError,
 )
+from repro.service.frontend import LineServer, check_session_name
 
-#: Session names double as WAL file stems, so keep them path-safe.
-_SESSION_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
+#: The line a shard prints on stdout at its first acknowledged session
+#: command of each life (see :meth:`RiotService.note_progress`).
+PROGRESS = "progress"
 
 
 class SessionWorker:
@@ -177,25 +176,19 @@ class SessionWorker:
             total_us = telemetry.us(
                 t_done - (t_enqueue if t_enqueue is not None else t_start)
             )
-            direct = envelope.generation is not None
-            if direct:
-                # The data-plane analog of ``relay``: the shard's own
-                # turnaround (queue + handler), no supervisor hop.
+            if envelope.generation is not None:
+                # A direct request: the shard's own turnaround, from
+                # enqueue to handler done (queue + handler).
                 stages["direct"] = total_us
-            if direct or self.service.shard_index is None:
-                # Channel ownership keeps the merged view exact: the
-                # supervisor records every *relayed* request, so a
-                # shard records only the direct ones (plus everything,
-                # single-process) — each request counted exactly once.
-                self.service.telemetry.record_request(
-                    envelope.method,
-                    total_us=total_us,
-                    stages=stages,
-                    session=self.name,
-                    shard=self.service.shard_index,
-                    trace_id=trace_id,
-                    error=error_code,
-                )
+            self.service.telemetry.record_request(
+                envelope.method,
+                total_us=total_us,
+                stages=stages,
+                session=self.name,
+                shard=self.service.shard_index,
+                trace_id=trace_id,
+                error=error_code,
+            )
             if queue_s > 0:
                 rec = trace.record("shard.queue", queue_s, 0.0)
                 if rec is not None:
@@ -218,6 +211,7 @@ class SessionWorker:
                     envelope.id, response_exc, stages=stages
                 )
             self.executed += 1
+            self.service.note_progress()
             return wire.encode_result(
                 envelope.id, envelope.method, result, stages=stages
             )
@@ -296,7 +290,7 @@ class SessionWorker:
         await asyncio.to_thread(drain)
 
 
-class RiotService:
+class RiotService(LineServer):
     """The server: session registry, control plane, graceful drain."""
 
     def __init__(
@@ -316,9 +310,13 @@ class RiotService:
         generation: int = 0,
         shed_at: int | None = None,
     ) -> None:
-        self.host = host
-        self.port = port
-        self.max_sessions = max_sessions
+        super().__init__(
+            host,
+            port,
+            max_sessions=max_sessions,
+            process_label=process_label,
+            chaos=chaos,
+        )
         self.queue_limit = queue_limit
         self.timeout = timeout
         #: Sharded-deployment coordinates (supervisor-hosted shards
@@ -342,9 +340,6 @@ class RiotService:
         #: Commands submitted to any session and not yet finished —
         #: the O(1) process-wide depth the shed check reads.
         self.inflight = 0
-        #: This process's name in telemetry ("server", or "shard<i>"
-        #: when hosted by the supervisor).
-        self.process_label = process_label
         #: Request-stage histograms + flight recorder, aggregated over
         #: every session in this process.
         self.telemetry = telemetry.TelemetryHub(process=process_label)
@@ -357,38 +352,32 @@ class RiotService:
             from repro.cellstore import CellStore
 
             self.cellstore = CellStore(library_dir)
-        #: Fault-injection policy (:class:`repro.service.chaos.ChaosPolicy`),
-        #: normally ``None``; set by ``REPRO_CHAOS`` runs.
-        self.chaos = chaos
         self.workers: dict[str, SessionWorker] = {}
-        self.counters = {
-            "connections": 0,
-            "requests": 0,
-            "errors": 0,
-            "timeouts": 0,
-            "backpressure": 0,
-            "shed": 0,
-            "direct": 0,
-        }
-        self._server: asyncio.AbstractServer | None = None
-        self._closing = False
-        self._closed: asyncio.Event | None = None
-        self._shutdown_task: asyncio.Task | None = None
-        self._conn_writers: set = set()
+        self.counters.update(timeouts=0, backpressure=0, shed=0, direct=0)
+        self._progressed = False
 
     async def start(self) -> "RiotService":
         if self.journal_dir is not None:
             self.journal_dir.mkdir(parents=True, exist_ok=True)
-        self._closed = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await self._listen()
         # Session registries are context-scoped, so without this the
         # process-wide ``--metrics`` export would miss every session's
         # counters (and the request-stage histograms).
         obs_metrics.register_export_provider(self._session_metrics)
         return self
+
+    def note_progress(self) -> None:
+        """A shard's first acknowledged session command of this life:
+        say so, once, on stdout — the pipe the supervisor holds — so
+        its crash-loop breaker counts the life as productive.  Runs
+        before the response is written, so it precedes any chaos kill
+        at the acknowledgement point.  Two sessions racing here may
+        both print; the supervisor reads any number as one."""
+        if self._progressed or self.shard_index is None:
+            return
+        self._progressed = True
+        with contextlib.suppress(OSError, ValueError):
+            print(PROGRESS, flush=True)
 
     def _session_metrics(self) -> dict:
         """Everything the process registry alone cannot see: session-
@@ -413,81 +402,12 @@ class RiotService:
             merged[name] = merged.get(name, 0) + value
         return {name: merged[name] for name in sorted(merged)}
 
-    async def serve_forever(self) -> None:
-        await self._closed.wait()
+    # -- session commands ----------------------------------------------------
 
-    # -- connections --------------------------------------------------------
-
-    async def _serve_connection(self, reader, writer) -> None:
-        self.counters["connections"] += 1
-        self._conn_writers.add(writer)
-        write_lock = asyncio.Lock()
-        pending: set[asyncio.Task] = set()
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                task = asyncio.create_task(
-                    self._serve_line(line, writer, write_lock)
-                )
-                pending.add(task)
-                task.add_done_callback(pending.discard)
-        except (ConnectionResetError, OSError):
-            pass
-        finally:
-            self._conn_writers.discard(writer)
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    async def _serve_line(self, line: bytes, writer, write_lock) -> None:
-        self.counters["requests"] += 1
-        response = await self._respond(line)
-        if response is None:  # chaos swallowed it (drop-heartbeat)
-            return
-        async with write_lock:
-            with contextlib.suppress(ConnectionResetError, OSError):
-                writer.write(response.encode("utf-8") + b"\n")
-                await writer.drain()
-        if self.chaos is not None:
-            # The acknowledgement point: the response is on the wire.
-            self.chaos.after_response(line, response)
-
-    async def _respond(self, line: bytes) -> str | None:
-        try:
-            envelope = wire.parse_request(line)
-        except ReproError as exc:
-            self.counters["errors"] += 1
-            return wire.encode_error(_fish_id(line), exc)
-        if envelope.method.startswith("service."):
-            try:
-                return await self._control(envelope)
-            except ReproError as exc:
-                self.counters["errors"] += 1
-                return wire.encode_error(envelope.id, exc)
-        if self._closing:
-            return wire.encode_error(
-                envelope.id, ShutdownError("service is shutting down")
-            )
-        if not envelope.session:
-            self.counters["errors"] += 1
-            return wire.encode_error(
-                envelope.id,
-                BadRequest(
-                    f"method {envelope.method!r} needs a 'session' field"
-                ),
-            )
+    async def _session_command(self, envelope: wire.RequestEnvelope) -> str:
         if envelope.generation is not None:
             self.counters["direct"] += 1
-            refused = self._check_direct(envelope)
-            if refused is not None:
-                self.counters["errors"] += 1
-                return wire.encode_error(envelope.id, refused)
+            self._check_lease(envelope)
         if self.shed_at is not None and self.inflight >= self.shed_at:
             self.counters["shed"] += 1
             return wire.encode_error(
@@ -498,27 +418,27 @@ class RiotService:
                     retry_after_ms=min(2000, 25 * self.inflight + 25),
                 ),
             )
-        try:
-            worker = self._worker(envelope.session)
-        except ServiceError as exc:
-            self.counters["errors"] += 1
-            return wire.encode_error(envelope.id, exc)
+        worker = self.workers.get(envelope.session)
+        if worker is None:
+            self._admit(envelope.session, len(self.workers))
+            worker = SessionWorker(self, envelope.session)
+            self.workers[envelope.session] = worker
         try:
             return await worker.execute(envelope)
         except BackpressureError as exc:
             self.counters["backpressure"] += 1
             return wire.encode_error(envelope.id, exc)
 
-    def _check_direct(self, envelope) -> SessionMovedError | None:
-        """Validate a direct-to-shard request's route lease.  ``None``
-        when the lease is good (always, on a single-process server —
-        the connection already is the data path)."""
+    def _check_lease(self, envelope) -> None:
+        """Refuse a direct-to-shard request whose route lease is wrong
+        (never, on a single-process server — the connection already is
+        the data path)."""
         if self.shard_index is None:
-            return None
+            return
         if self._ring is not None:
             owner = self._ring.shard_for(envelope.session)
             if owner != self.shard_index:
-                return SessionMovedError(
+                raise SessionMovedError(
                     f"session {envelope.session!r} lives on shard "
                     f"{owner}, not {self.shard_index}; re-route via the "
                     "supervisor",
@@ -528,7 +448,7 @@ class RiotService:
             # This shard restarted since the lease was issued: the WAL
             # has been replayed and the address may have been handed
             # around, so the client must refresh before trusting it.
-            return SessionMovedError(
+            raise SessionMovedError(
                 f"route lease generation {envelope.generation} is stale "
                 f"(shard {self.shard_index} is at {self.generation}); "
                 "refresh the route",
@@ -540,131 +460,87 @@ class RiotService:
                     port=self.port,
                 ),
             )
-        return None
-
-    # -- sessions ------------------------------------------------------------
-
-    def _worker(self, name: str) -> SessionWorker:
-        worker = self.workers.get(name)
-        if worker is not None:
-            return worker
-        if not _SESSION_NAME.match(name):
-            raise BadSessionName(
-                f"bad session name {name!r} (want [A-Za-z0-9._-], "
-                "64 chars max, not starting with . or -)"
-            )
-        if len(self.workers) >= self.max_sessions:
-            raise SessionLimitError(
-                f"session limit reached ({self.max_sessions})"
-            )
-        worker = self.workers[name] = SessionWorker(self, name)
-        return worker
 
     # -- the control plane ---------------------------------------------------
 
-    async def _control(self, envelope: wire.RequestEnvelope) -> str | None:
-        request_cls, _ = control.control_types(envelope.method)
-        request = from_jsonable(
-            request_cls, dict(envelope.params), where=envelope.method
+    async def _on_route(self, request) -> control.RouteResult:
+        check_session_name(request.session)
+        # No direct path to offer: this connection already is the data
+        # path.
+        return control.RouteResult(session=request.session, direct=False)
+
+    async def _on_ping(self, request) -> control.PingResult | None:
+        if self.chaos is not None and self.chaos.drop_ping():
+            return None  # simulate a wedged worker: no answer at all
+        return control.PingResult(
+            version=PROTOCOL_VERSION,
+            sessions=len(self.workers),
+            metrics=self.telemetry_snapshot() if request.telemetry else None,
         )
-        if envelope.method == "service.hello":
-            result = control.HelloResult(
-                version=PROTOCOL_VERSION,
-                server=self.process_label,
-                # No ``direct_routing``: this process has no shards to
-                # redirect to — the connection already is the data path.
-                capabilities=("telemetry",),
-            )
-        elif envelope.method == "service.route":
-            if not _SESSION_NAME.match(request.session):
-                raise BadSessionName(
-                    f"bad session name {request.session!r} (want "
-                    "[A-Za-z0-9._-], 64 chars max, not starting with "
-                    ". or -)"
+
+    async def _on_telemetry(self, request) -> control.TelemetryResult:
+        snapshot = self.telemetry_snapshot()
+        slowest, errored = (
+            self.telemetry.flight() if request.slow else ([], [])
+        )
+        return control.TelemetryResult(
+            process=self.process_label,
+            pid=os.getpid(),
+            metrics=snapshot,
+            merged=snapshot,
+            slowest=tuple(control.FlightRecord(**entry) for entry in slowest),
+            errored=tuple(control.FlightRecord(**entry) for entry in errored),
+        )
+
+    async def _on_sessions(self, request) -> control.SessionsResult:
+        return control.SessionsResult(
+            sessions=tuple(
+                control.SessionInfo(
+                    name=w.name,
+                    queued=w.depth,
+                    executed=w.executed,
+                    failed=w.failed,
+                    journal=(
+                        str(w.journal_path)
+                        if w.journal_path is not None
+                        else None
+                    ),
                 )
-            result = control.RouteResult(session=request.session, direct=False)
-        elif envelope.method == "service.describe":
-            result = build_manifest(control.CONTROL)
-        elif envelope.method == "service.ping":
-            if self.chaos is not None and self.chaos.drop_ping():
-                return None  # simulate a wedged worker: no answer at all
-            result = control.PingResult(
-                version=PROTOCOL_VERSION,
-                sessions=len(self.workers),
-                metrics=(
-                    self.telemetry_snapshot() if request.telemetry else None
-                ),
+                for w in self.workers.values()
             )
-        elif envelope.method == "service.telemetry":
-            snapshot = self.telemetry_snapshot()
-            slowest, errored = (
-                self.telemetry.flight() if request.slow else ([], [])
-            )
-            result = control.TelemetryResult(
-                process=self.process_label,
-                pid=os.getpid(),
-                metrics=snapshot,
-                merged=snapshot,
-                slowest=tuple(
-                    control.FlightRecord(**entry) for entry in slowest
-                ),
-                errored=tuple(
-                    control.FlightRecord(**entry) for entry in errored
-                ),
-            )
-        elif envelope.method == "service.sessions":
-            result = control.SessionsResult(
-                sessions=tuple(
-                    control.SessionInfo(
-                        name=w.name,
-                        queued=w.depth,
-                        executed=w.executed,
-                        failed=w.failed,
-                        journal=(
-                            str(w.journal_path)
-                            if w.journal_path is not None
-                            else None
-                        ),
-                    )
-                    for w in self.workers.values()
-                )
-            )
-        elif envelope.method == "service.stats":
-            library = (
-                self.cellstore.counters
-                if self.cellstore is not None
-                else {}
-            )
-            cache = self._cache_counters()
-            result = control.ServiceStatsResult(
-                connections=self.counters["connections"],
-                requests=self.counters["requests"],
-                errors=self.counters["errors"],
-                timeouts=self.counters["timeouts"],
-                backpressure=self.counters["backpressure"],
-                sessions=len(self.workers),
-                pid=os.getpid(),
-                queued=sum(w.depth for w in self.workers.values()),
-                shed=self.counters["shed"],
-                direct_requests=self.counters["direct"],
-                library_publishes=library.get("publishes", 0),
-                library_conflicts=library.get("conflicts", 0),
-                library_cascades=library.get("cascades", 0),
-                cache_hits=cache["hits"],
-                cache_misses=cache["misses"],
-                cache_evictions=cache["evictions"],
-            )
-        else:  # service.shutdown — ack, then drain in the background.
-            result = control.ShutdownResult(
-                sessions=len(self.workers),
-                journaled=sum(
-                    1
-                    for w in self.workers.values()
-                    if w.journal_path is not None
-                ),
-            )
-            self.request_shutdown()
-        return wire.encode_result(envelope.id, envelope.method, result)
+        )
+
+    async def _on_stats(self, request) -> control.ServiceStatsResult:
+        library = self.cellstore.counters if self.cellstore is not None else {}
+        cache = self._cache_counters()
+        return control.ServiceStatsResult(
+            connections=self.counters["connections"],
+            requests=self.counters["requests"],
+            errors=self.counters["errors"],
+            timeouts=self.counters["timeouts"],
+            backpressure=self.counters["backpressure"],
+            sessions=len(self.workers),
+            pid=os.getpid(),
+            queued=sum(w.depth for w in self.workers.values()),
+            shed=self.counters["shed"],
+            direct_requests=self.counters["direct"],
+            library_publishes=library.get("publishes", 0),
+            library_conflicts=library.get("conflicts", 0),
+            library_cascades=library.get("cascades", 0),
+            cache_hits=cache["hits"],
+            cache_misses=cache["misses"],
+            cache_evictions=cache["evictions"],
+        )
+
+    async def _on_shutdown(self, request) -> control.ShutdownResult:
+        """Ack, then drain in the background."""
+        self.request_shutdown()
+        return control.ShutdownResult(
+            sessions=len(self.workers),
+            journaled=sum(
+                1 for w in self.workers.values() if w.journal_path is not None
+            ),
+        )
 
     def _cache_counters(self) -> dict:
         """Pipeline artifact-cache traffic summed across this process's
@@ -681,63 +557,47 @@ class RiotService:
                     totals[short] += value
         return totals
 
-    # -- shutdown -------------------------------------------------------------
-
-    def request_shutdown(self) -> None:
-        """Begin a graceful drain (idempotent, signal-handler safe):
-        stop accepting, finish queued commands, checkpoint every WAL."""
-        if self._shutdown_task is None:
-            self._shutdown_task = asyncio.ensure_future(self._shutdown())
-
-    async def _shutdown(self) -> None:
-        self._closing = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+    async def _drain(self) -> None:
+        """Finish queued commands and checkpoint every WAL."""
         for worker in list(self.workers.values()):
             await worker.stop()
-        # Hang up on open connections so their handler tasks finish
-        # before the loop does (a cancelled readline is noisy).
-        for writer in list(self._conn_writers):
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
         # Leave one final merged snapshot behind for the ``--metrics``
         # export (the scoped session registries die with the workers).
         final = self._session_metrics()
         obs_metrics.unregister_export_provider(self._session_metrics)
         obs_metrics.register_export_provider(lambda: final)
-        await asyncio.sleep(0.01)
-        self._closed.set()
 
 
-def _fish_id(line: bytes):
-    """Best-effort request id recovery from an unparseable envelope."""
-    try:
-        data = json.loads(line)
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        return None
-    if isinstance(data, dict):
-        id = data.get("id")
-        if isinstance(id, (int, str)):
-            return id
-    return None
+def _server(**kwargs):
+    """The server ``kwargs`` describe: a supervisor over ``shards``
+    worker processes when that is set, else a single process — the
+    ``serve --shards`` rule."""
+    if kwargs.get("shards"):
+        from repro.service.supervisor import Supervisor
+
+        return Supervisor(**kwargs)
+    return RiotService(**kwargs)
 
 
 # -- in-process harness (tests, benchmarks) ---------------------------------
 
 
 class ServiceThread:
-    """Run a :class:`RiotService` on a background thread's event loop.
+    """Run a server on a background thread's event loop.
 
     A context manager::
 
         with ServiceThread(journal_dir=tmp) as srv:
             client = ServiceClient(*srv.address, session="alice")
 
-    Note the GIL applies: in-process, concurrent sessions overlap their
-    waits but not their compute.  The benchmark drives a subprocess
-    server for honest numbers; this harness is for tests.
+    The keyword arguments are the server's.  With ``shards=N`` the
+    harness runs a :class:`~repro.service.supervisor.Supervisor` over
+    N real shard subprocesses (``SupervisorThread`` is the same class),
+    so a test exercises the full crash-isolation story; otherwise a
+    single-process :class:`RiotService`.  Note the GIL applies to the
+    in-process server: concurrent sessions overlap their waits but not
+    their compute.  The benchmark drives a subprocess server for honest
+    numbers; this harness is for tests.
     """
 
     def __init__(self, **kwargs) -> None:
@@ -746,25 +606,33 @@ class ServiceThread:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread = None
         self._ready = None
+        self._startup_error: BaseException | None = None
 
     def start(self) -> "ServiceThread":
         import threading
 
         self._ready = threading.Event()
         self._thread = threading.Thread(
-            target=lambda: asyncio.run(self._amain()),
+            target=lambda: asyncio.run(self._run()),
             name="riot-service",
             daemon=True,
         )
         self._thread.start()
-        if not self._ready.wait(timeout=30):
+        if not self._ready.wait(timeout=120):
             raise ServiceError("service thread failed to start")
+        if self._startup_error is not None:
+            raise self._startup_error
         return self
 
-    async def _amain(self) -> None:
+    async def _run(self) -> None:
         self._loop = asyncio.get_running_loop()
-        self.service = await RiotService(**self._kwargs).start()
-        self._ready.set()
+        try:
+            self.service = await _server(**self._kwargs).start()
+        except BaseException as exc:
+            self._startup_error = exc
+            return
+        finally:
+            self._ready.set()
         await self.service.serve_forever()
 
     @property
@@ -774,7 +642,7 @@ class ServiceThread:
     def stop(self) -> None:
         if self._loop is not None and self._thread.is_alive():
             self._loop.call_soon_threadsafe(self.service.request_shutdown)
-        self._thread.join(timeout=30)
+        self._thread.join(timeout=120)
 
     def __enter__(self) -> "ServiceThread":
         return self.start()
@@ -787,33 +655,7 @@ class ServiceThread:
 
 
 async def _amain(args) -> None:
-    if args.shards > 0:
-        from repro.service.supervisor import Supervisor
-
-        trace.set_process_label("supervisor")
-        service = await Supervisor(
-            host=args.host,
-            port=args.port,
-            shards=args.shards,
-            max_sessions=args.max_sessions,
-            queue_limit=args.queue_limit,
-            timeout=args.timeout,
-            shed_at=args.shed_at,
-            heartbeat_timeout=args.heartbeat_timeout,
-            journal_dir=args.journal_dir,
-            library_dir=args.library_dir,
-            trace_path=args.trace,
-        ).start()
-        print(f"listening on {service.host}:{service.port}", flush=True)
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            with contextlib.suppress(NotImplementedError):
-                loop.add_signal_handler(sig, service.request_shutdown)
-        await service.serve_forever()
-        return
-    from repro.service.chaos import ChaosPolicy
-
-    service = await RiotService(
+    options = dict(
         host=args.host,
         port=args.port,
         max_sessions=args.max_sessions,
@@ -821,8 +663,20 @@ async def _amain(args) -> None:
         timeout=args.timeout,
         journal_dir=args.journal_dir,
         library_dir=args.library_dir,
-        chaos=ChaosPolicy.from_env(),
-    ).start()
+    )
+    if args.shards > 0:
+        trace.set_process_label("supervisor")
+        options.update(
+            shards=args.shards,
+            shed_at=args.shed_at,
+            heartbeat_timeout=args.heartbeat_timeout,
+            trace_path=args.trace,
+        )
+    else:
+        from repro.service.chaos import ChaosPolicy
+
+        options["chaos"] = ChaosPolicy.from_env()
+    service = await _server(**options).start()
     print(f"listening on {service.host}:{service.port}", flush=True)
     loop = asyncio.get_running_loop()
     for sig in (signal.SIGINT, signal.SIGTERM):

@@ -4,21 +4,23 @@ A shard is a full :class:`repro.service.server.RiotService` — the same
 session workers, queues, deadlines and per-session WALs as the
 single-process server — running in its own interpreter with its own
 WAL directory, listening on a loopback port it prints at startup
-(``listening on HOST:PORT``).  That socket is both the supervisor's
-relay connection and the shard's **data plane**: clients holding a
-``service.route`` lease dial it directly, stamping the lease's
-generation on each request; the shard refuses stale generations and
-wrong-shard sessions with ``service.moved``.  Crash
-isolation is the point: a shard that segfaults, OOMs, or is SIGKILLed
-takes only its own sessions down, and those resume by WAL salvage +
-replay when the supervisor restarts it.
+(``listening on HOST:PORT``).  That socket is the shard's **data
+plane**: clients holding a ``service.route`` lease dial it directly,
+stamping the lease's generation on each request; the shard refuses
+stale generations and wrong-shard sessions with ``service.moved``.
+Crash isolation is the point: a shard that segfaults, OOMs, or is
+SIGKILLed takes only its own sessions down, and those resume by WAL
+salvage + replay when the supervisor restarts it.
 
-The supervisor speaks ordinary protocol v1 to the shard (there is no
-second wire format to version): session commands are forwarded
-verbatim with remapped ids, and ``service.ping`` doubles as the
-heartbeat.  A shard also watches its stdin — the pipe the supervisor
-holds — and drains gracefully on EOF, so an orphaned shard never
-outlives a dead supervisor.
+The supervisor speaks ordinary protocol v1 to the shard on a
+connection of its own (there is no second wire format to version):
+``service.ping`` doubles as the heartbeat, and a warm-up ``cells``
+read replays each session's WAL after a restart.  Two pipes tie the
+shard to its supervisor: it prints one ``progress`` line on stdout at
+its first acknowledged session command — the crash-loop breaker's
+evidence that this life was productive — and it watches its stdin,
+draining gracefully on EOF, so an orphaned shard never outlives a
+dead supervisor.
 
 Runnable directly for debugging::
 

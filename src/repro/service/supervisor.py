@@ -1,57 +1,61 @@
-"""The supervisor: router + control plane in front of a sharded pool.
+"""The supervisor: the control plane of the sharded service.
 
 ``python -m repro serve --shards N`` runs this process in front of N
-:mod:`repro.service.shard` subprocesses.  The supervisor owns the
-routing decision — sessions map to shards by consistent hash
-(:class:`HashRing`), so a session name lands on the same shard across
-requests, connections *and shard restarts*.
+:mod:`repro.service.shard` subprocesses.  It spawns, heartbeats and
+restarts the shards, admits sessions, tells clients where each
+session lives and aggregates the shards' telemetry; it never executes
+or forwards a session command.
 
-The planes are split:
-
-* **Control plane** (this socket): ``service.*`` commands, and the
-  ``service.route`` handshake that maps a session to its owning
-  shard's own listening address plus a lease — the shard index, its
-  restart *generation*, and a TTL.
-* **Data plane**: a client holding a route lease dials the shard
-  directly and stamps the generation on every request; the shard
-  refuses stale generations and wrong-shard sessions with
-  ``service.moved`` (carrying its current coordinates), at which point
-  the client refreshes its route or falls back to the relay.
-* **Relay fallback** (also this socket): session commands sent here
-  are forwarded to the owning shard verbatim with remapped request
-  ids, exactly as before the split — old clients keep working, and
-  new clients relay whenever a shard is down or mid-restart.
+* **Routing** — sessions map to shards by consistent hash
+  (:class:`HashRing`), so a session name lands on the same shard across
+  requests, connections *and shard restarts*.  ``service.route``
+  admits the session and answers with its shard's own listening
+  address plus a lease: the shard index, its restart *generation*, and
+  a TTL.
+* **Data plane** — the client dials that address and stamps the
+  generation on every session command; the shard refuses stale
+  generations and wrong-shard sessions with ``service.moved``
+  (carrying its current coordinates).  A session command sent to the
+  supervisor itself executes nothing: it gets the answer
+  ``service.route`` would give — ``service.moved`` naming the owner's
+  address while the owner is up, the down-shard error below while it
+  is not.
 
 Shard data ports are *pinned* across restarts (the respawn reuses the
 dead shard's port), so the address in a stale client's lease — and in
 the ``service.moved`` detail — usually survives the restart; only the
 generation moves.
 
-Robustness model, in order of the request path:
+Robustness model:
 
 * **Admission control** — a new session name beyond ``max_sessions``
-  answers ``service.session_limit``; a shard whose in-flight queue is
-  at ``shed_at`` answers ``service.overloaded`` with a
-  ``retry_after_ms`` pacing hint instead of buffering unboundedly.
+  answers ``service.session_limit``; each shard sheds its own load
+  once ``shed_at`` commands are in flight (``service.overloaded`` with
+  a ``retry_after_ms`` pacing hint).
 * **Crash isolation** — a shard death (exit, SIGKILL, heartbeat
-  timeout) fails only that shard's in-flight requests, each with
-  ``service.shard_failed`` (safe to retry for replayable commands);
-  every other shard keeps serving untouched.
+  timeout) touches only that shard's sessions: while it is down, a
+  route to it answers ``service.shard_failed`` with a
+  ``retry_after_ms`` restart estimate, and every other shard keeps
+  serving untouched.
 * **Supervision** — the dead shard is restarted under a
   :class:`~repro.service.health.RestartGovernor`: prompt restart after
   productive lives, exponential backoff for crash loops, and a circuit
-  breaker that stops restarting a shard that never serves (requests
-  then shed with ``service.overloaded`` until the cooldown ends).
+  breaker that stops restarting a shard that never serves (its routes
+  answer ``service.overloaded`` until the cooldown ends).  A shard
+  tells the supervisor a life was productive with one ``progress``
+  line on its stdout pipe, at its first acknowledged session command.
 * **Recovery** — each shard owns a WAL directory
   (``journal_dir/shard-K``), so its sessions' journals survive it; on
   restart the supervisor warms every affected session back up, which
   salvages + replays its WAL through the registry — the paper's REPLAY
   recovery, per seat, automated.
 
-Heartbeats ride the ordinary wire: the supervisor periodically sends
-``service.ping`` down each shard connection and SIGKILLs a shard that
-stays silent past the timeout (a wedged process is as dead as an
-exited one).
+The supervisor keeps one ordinary protocol-v1 connection to each shard
+for its own requests: ``service.ping`` (the heartbeat, which also
+carries the shard's telemetry back), the ``service.*`` fan-outs, the
+warm-up reads and the final ``service.shutdown``.  A shard that stays
+silent past the heartbeat timeout is SIGKILLed (a wedged process is as
+dead as an exited one).
 """
 
 from __future__ import annotations
@@ -60,35 +64,36 @@ import asyncio
 import bisect
 import contextlib
 import hashlib
-import json
 import os
-import signal
 import sys
-import time
 from pathlib import Path
 
 from repro.api import wire
 from repro.api.codec import from_jsonable
-from repro.api.errors import BadRequest
-from repro.api.manifest import build_manifest
 from repro.api.types import PROTOCOL_VERSION
 from repro.errors import ReproError
-from repro.obs import metrics, trace
+from repro.obs import metrics
 from repro.service import control, telemetry
 from repro.service.errors import (
-    BadSessionName,
     OverloadedError,
     ServiceError,
-    SessionLimitError,
+    SessionMovedError,
     ShardFailedError,
-    ShutdownError,
 )
+from repro.service.frontend import LineServer
 from repro.service.health import RestartGovernor
-from repro.service.server import _SESSION_NAME, _fish_id
+from repro.service.server import PROGRESS, ServiceThread
+
+#: The in-process harness runs a supervisor when given ``shards=``.
+SupervisorThread = ServiceThread
 
 #: Extra margin on the first restart's ``retry_after_ms`` hint: rough
 #: worst-case interpreter start + listen time for a shard subprocess.
 _SPAWN_ESTIMATE_MS = 500
+
+#: How long a death waits for the dead life's stdout to close, so a
+#: ``progress`` line still in the pipe counts before the breaker judges.
+_LAST_WORDS_S = 1.0
 
 
 class HashRing:
@@ -130,10 +135,8 @@ class ShardHandle:
     """One supervised worker process (across its restarts)."""
 
     def __init__(self, supervisor: "Supervisor", index: int) -> None:
-        self.supervisor = supervisor
         self.index = index
         self.proc: asyncio.subprocess.Process | None = None
-        self.reader: asyncio.StreamReader | None = None
         self.writer: asyncio.StreamWriter | None = None
         self.alive = False
         #: Bumped on every death; guards stale pump/watcher callbacks
@@ -149,15 +152,17 @@ class ShardHandle:
         #: (port stolen) so the next attempt falls back to port 0.
         self.data_host: str | None = None
         self.data_port: int | None = None
-        #: Supervisor-assigned uid -> (client id, response future).
-        self.pending: dict[int, tuple[object, asyncio.Future]] = {}
-        self._next_uid = 0
+        #: Request id -> response future, for the supervisor's own
+        #: requests in flight on the shard connection.
+        self.pending: dict[int, asyncio.Future] = {}
+        self.last_id = 0
         self.restarts = 0
         #: The latest metrics snapshot this shard piggybacked on a
         #: heartbeat pong (``None`` until the first one answers).
         self.last_metrics: dict | None = None
-        #: ok responses to session commands in the current life.
-        self.acked = 0
+        #: The task following the current life's stdout until the
+        #: process exits; its result is whether the life made progress.
+        self.life: asyncio.Task | None = None
         self.governor = RestartGovernor(**supervisor.governor_kwargs)
         #: ms estimate handed out in shard_failed errors while down.
         self.retry_hint_ms = _SPAWN_ESTIMATE_MS
@@ -167,13 +172,12 @@ class ShardHandle:
     def pid(self) -> int | None:
         return self.proc.pid if (self.proc and self.alive) else None
 
-    def next_uid(self) -> int:
-        self._next_uid += 1
-        return self._next_uid
 
+class Supervisor(LineServer):
+    """Spawn, heartbeat, restart, admit, route and aggregate telemetry
+    over a pool of shard subprocesses."""
 
-class Supervisor:
-    """Accept/route server over a pool of shard subprocesses."""
+    capabilities = ("direct_routing", "telemetry")
 
     def __init__(
         self,
@@ -198,10 +202,10 @@ class Supervisor:
             raise ValueError("need at least one shard")
         if shed_at < 1:
             raise ValueError("shed_at must be >= 1")
-        self.host = host
-        self.port = port
+        super().__init__(
+            host, port, max_sessions=max_sessions, process_label="supervisor"
+        )
         self.shard_count = shards
-        self.max_sessions = max_sessions
         self.queue_limit = queue_limit
         self.timeout = timeout
         self.shed_at = shed_at
@@ -221,26 +225,11 @@ class Supervisor:
         #: ``--trace <trace_path>.shard<i>`` so a run leaves one trace
         #: file per process — the set ``tools/check_trace.py`` stitches.
         self.trace_path = trace_path
-        self.process_label = "supervisor"
-        #: Request-stage histograms (supervisor_queue / relay / totals)
-        #: plus the flight recorder of the slowest/errored requests.
-        self.telemetry = telemetry.TelemetryHub(process="supervisor")
         self.ring = HashRing(shards)
         self.shards = [ShardHandle(self, i) for i in range(shards)]
         #: session name -> shard index (the admission-control census).
         self.session_shard: dict[str, int] = {}
-        self.counters = {
-            "connections": 0,
-            "requests": 0,
-            "errors": 0,
-            "shed": 0,
-            "shard_failures": 0,
-        }
-        self._server: asyncio.AbstractServer | None = None
-        self._conn_writers: set = set()
-        self._closing = False
-        self._closed: asyncio.Event | None = None
-        self._shutdown_task: asyncio.Task | None = None
+        self.counters["shard_failures"] = 0
         self._heartbeat_tasks: list[asyncio.Task] = []
         self._background: set[asyncio.Task] = set()
 
@@ -249,12 +238,8 @@ class Supervisor:
     async def start(self) -> "Supervisor":
         if self.journal_dir is not None:
             self.journal_dir.mkdir(parents=True, exist_ok=True)
-        self._closed = asyncio.Event()
         await asyncio.gather(*(self._spawn(h) for h in self.shards))
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await self._listen()
         for handle in self.shards:
             self._heartbeat_tasks.append(
                 asyncio.ensure_future(self._heartbeat(handle))
@@ -264,16 +249,13 @@ class Supervisor:
 
     def _telemetry_export(self) -> dict:
         """The ``--metrics`` contribution beyond the process registry:
-        the supervisor's own stage histograms plus every shard's latest
-        piggybacked snapshot under a ``shard<i>.`` prefix."""
-        out = dict(self.telemetry.snapshot())
-        for handle in self.shards:
-            for name, value in (handle.last_metrics or {}).items():
-                out[f"shard{handle.index}.{name}"] = value
-        return out
-
-    async def serve_forever(self) -> None:
-        await self._closed.wait()
+        every shard's latest piggybacked snapshot under a ``shard<i>.``
+        prefix."""
+        return {
+            f"shard{handle.index}.{name}": value
+            for handle in self.shards
+            for name, value in (handle.last_metrics or {}).items()
+        }
 
     def _spawn_background(self, coro) -> None:
         task = asyncio.ensure_future(coro)
@@ -356,52 +338,48 @@ class Supervisor:
                 proc.kill()
             raise
         handle.proc = proc
-        handle.reader = reader
         handle.writer = writer
         handle.data_host = host
         handle.data_port = int(port)
-        handle.acked = 0
         handle.alive = True
         generation = handle.generation
-        self._spawn_background(self._pump(handle, generation))
-        self._spawn_background(self._watch_exit(handle, generation))
+        self._spawn_background(self._pump(handle, reader, generation))
+        handle.life = asyncio.ensure_future(
+            self._follow_life(handle, generation)
+        )
         if handle.restarts and self.journal_dir is not None:
             self._spawn_background(self._resume_sessions(handle, generation))
 
-    async def _watch_exit(self, handle: ShardHandle, generation: int) -> None:
+    async def _follow_life(self, handle: ShardHandle, generation: int) -> bool:
+        """Read one life's stdout until the process exits; the life
+        made progress if it printed the ``progress`` line."""
         proc = handle.proc
+        progressed = False
+        with contextlib.suppress(ValueError, OSError):
+            async for line in proc.stdout:
+                if line.strip() == PROGRESS.encode():
+                    progressed = True
+                    # Productive work closes a half-open circuit now.
+                    handle.governor.record_progress()
         await proc.wait()
         self._shard_down(
             handle, generation, f"exited with code {proc.returncode}"
         )
+        return progressed
 
-    async def _pump(self, handle: ShardHandle, generation: int) -> None:
-        """Relay shard responses back to their waiting futures."""
-        reader = handle.reader
+    async def _pump(
+        self, handle: ShardHandle, reader, generation: int
+    ) -> None:
+        """Hand shard responses to the supervisor requests awaiting them."""
         try:
-            while True:
-                raw = await reader.readline()
-                if not raw:
-                    break
+            while raw := await reader.readline():
                 try:
-                    data = json.loads(raw)
-                except json.JSONDecodeError:
+                    response = wire.parse_response(raw)
+                except (ReproError, ValueError):
                     continue
-                if not isinstance(data, dict):
-                    continue
-                entry = handle.pending.pop(data.get("id"), None)
-                if entry is None:
-                    continue
-                if data.get("ok") and not str(
-                    data.get("method") or ""
-                ).startswith("service."):
-                    # Productive work: the crash-loop breaker resets.
-                    handle.acked += 1
-                    handle.governor.record_progress()
-                original_id, future = entry
-                data["id"] = original_id
-                if not future.done():
-                    future.set_result(data)
+                future = handle.pending.pop(response.id, None)
+                if future is not None and not future.done():
+                    future.set_result(response)
         except (ConnectionResetError, OSError):
             pass
         self._shard_down(handle, generation, "connection lost")
@@ -415,10 +393,10 @@ class Supervisor:
         handle.alive = False
         handle.generation += 1
         if handle.proc is not None and not self._closing:
-            # During graceful shutdown the EOF on the relay connection
+            # During graceful shutdown the EOF on the shard connection
             # is the shard *draining*, not dying: it still has WALs to
             # checkpoint and its trace/metrics files to write, and
-            # ``_shutdown`` already waits on (and, past the deadline,
+            # ``_drain`` already waits on (and, past the deadline,
             # kills) the process.
             with contextlib.suppress(ProcessLookupError):
                 handle.proc.kill()
@@ -434,44 +412,49 @@ class Supervisor:
                 shard=handle.index, generation=handle.generation
             ),
         )
-        for _, future in pending.values():
+        for future in pending.values():
             if not future.done():
                 future.set_exception(failure)
         if self._closing:
             return
         metrics.counter("service.shard_restarts").inc()
-        decision = handle.governor.record_death(progress=handle.acked > 0)
         handle.restarts += 1
-        handle.retry_hint_ms = int(decision.delay * 1000) + _SPAWN_ESTIMATE_MS
         handle.restart_task = asyncio.ensure_future(
-            self._restart_later(handle, decision.delay)
+            self._restart(handle, handle.life)
         )
 
-    async def _restart_later(self, handle: ShardHandle, delay: float) -> None:
-        await asyncio.sleep(delay)
-        if self._closing or handle.alive:
-            return
-        if not handle.governor.may_attempt():
-            return  # circuit opened meanwhile; its own probe is scheduled
-        generation = handle.generation
-        try:
-            await self._spawn(handle)
-        except (ServiceError, OSError, asyncio.TimeoutError):
-            if self._closing:
+    async def _restart(self, handle: ShardHandle, life: asyncio.Task) -> None:
+        """Judge the death, then respawn after the governor's delay."""
+        done, _ = await asyncio.wait({life}, timeout=_LAST_WORDS_S)
+        progressed = (
+            life in done
+            and not life.cancelled()
+            and life.exception() is None
+            and life.result()
+        )
+        decision = handle.governor.record_death(progress=progressed)
+        while True:
+            handle.retry_hint_ms = (
+                int(decision.delay * 1000) + _SPAWN_ESTIMATE_MS
+            )
+            await asyncio.sleep(decision.delay)
+            if self._closing or handle.alive:
                 return
+            if not handle.governor.may_attempt():
+                return  # circuit opened meanwhile; its own probe is scheduled
+            try:
+                await self._spawn(handle)
+                return
+            except (ServiceError, OSError, asyncio.TimeoutError):
+                if self._closing:
+                    return
             # The pinned port may be what killed the spawn (stolen by
             # another process while the shard was down); give the next
             # attempt a fresh one.
             handle.data_port = None
-            decision = handle.governor.record_death(progress=False)
-            handle.generation = generation + 1
+            handle.generation += 1
             handle.restarts += 1
-            handle.retry_hint_ms = (
-                int(decision.delay * 1000) + _SPAWN_ESTIMATE_MS
-            )
-            handle.restart_task = asyncio.ensure_future(
-                self._restart_later(handle, decision.delay)
-            )
+            decision = handle.governor.record_death(progress=False)
 
     async def _heartbeat(self, handle: ShardHandle) -> None:
         """Ping the shard on the wire; silence past the timeout kills."""
@@ -482,36 +465,30 @@ class Supervisor:
             if not handle.alive:
                 continue
             generation = handle.generation
-            metrics.gauge(f"service.shard.{handle.index}.queued").set(
-                len(handle.pending)
-            )
             try:
-                raw = await asyncio.wait_for(
-                    self._shard_call(
-                        handle, "service.ping", params={"telemetry": True}
-                    ),
-                    self.heartbeat_timeout,
-                )
-                self._absorb_pong(handle, raw)
+                await self._refresh(handle)
             except asyncio.TimeoutError:
                 self._shard_down(handle, generation, "heartbeat timeout")
             except ServiceError:
                 pass  # already detected down by another path
 
-    @staticmethod
-    def _absorb_pong(handle: ShardHandle, raw: str) -> None:
-        """Keep the metrics snapshot a telemetry pong piggybacked."""
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError:  # pragma: no cover - shard bug
-            return
-        if not isinstance(data, dict) or not data.get("ok"):
-            return
-        snapshot = (data.get("result") or {}).get("metrics")
-        if isinstance(snapshot, dict):
+    async def _refresh(self, handle: ShardHandle) -> None:
+        """A telemetry ping: the heartbeat, and the shard's latest
+        metrics snapshot kept from the pong."""
+        response = await asyncio.wait_for(
+            self._shard_call(
+                handle, "service.ping", params={"telemetry": True}
+            ),
+            self.heartbeat_timeout,
+        )
+        snapshot = (response.result or {}).get("metrics")
+        if response.ok and isinstance(snapshot, dict):
             handle.last_metrics = snapshot
 
-    # -- forwarding ----------------------------------------------------------
+    async def _refresh_quietly(self, handle: ShardHandle) -> None:
+        """:meth:`_refresh`, keeping the last snapshot on any failure."""
+        with contextlib.suppress(ReproError, asyncio.TimeoutError, OSError):
+            await self._refresh(handle)
 
     async def _shard_call(
         self,
@@ -520,142 +497,28 @@ class Supervisor:
         *,
         session: str | None = None,
         params: dict | None = None,
-    ) -> str:
-        """A supervisor-originated request down the shard connection."""
-        envelope = wire.RequestEnvelope(
-            method=method, params=params or {}, id=None, session=session
-        )
-        return await self._forward_envelope(handle, envelope, admission=False)
-
-    async def _forward_envelope(
-        self,
-        handle: ShardHandle,
-        envelope: wire.RequestEnvelope,
-        *,
-        admission: bool = True,
-    ) -> str:
+    ) -> wire.ResponseEnvelope:
+        """One of the supervisor's own requests down the shard
+        connection."""
         if not handle.alive:
-            if handle.governor.circuit_open:
-                raise OverloadedError(
-                    f"shard {handle.index} is crash-looping; circuit open",
-                    retry_after_ms=handle.governor.retry_after_ms(),
-                )
-            raise ShardFailedError(
-                f"shard {handle.index} is restarting",
-                retry_after_ms=handle.retry_hint_ms,
-                detail=wire.ErrorDetail(
-                    shard=handle.index, generation=handle.generation
-                ),
-            )
-        if admission and len(handle.pending) >= self.shed_at:
-            self.counters["shed"] += 1
-            metrics.counter("service.shed").inc()
-            # Pace the retry by how far past the threshold we are: one
-            # queue_limit's worth of backlog is ~one scheduling round.
-            backlog = len(handle.pending) - self.shed_at + 1
-            raise OverloadedError(
-                f"shard {handle.index} has {len(handle.pending)} request(s) "
-                f"in flight (shed at {self.shed_at}); retry later",
-                retry_after_ms=min(2000, 25 * backlog + 25),
-            )
-        t_recv = time.perf_counter()
-        context = envelope.trace or {}
-        trace_id = context.get("id")
-        request_span = relay_span = trace.NULL_SPAN
-        if admission:
-            request_span = trace.begin(
-                "supervisor.request",
-                trace_id=trace_id,
-                remote_parent=context.get("parent"),
-                method=envelope.method,
-                shard=handle.index,
-            )
-        uid = handle.next_uid()
+            raise self._down_error(handle)
+        handle.last_id += 1
+        uid = handle.last_id
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        handle.pending[uid] = (envelope.id, future)
+        handle.pending[uid] = future
+        line = wire.canonical_json(
+            wire.RequestEnvelope(
+                method=method, params=params or {}, id=uid, session=session
+            )
+        )
         try:
-            if admission:
-                relay_span = trace.begin(
-                    "relay.hop",
-                    trace_id=trace_id,
-                    remote_parent=request_span.ref or context.get("parent"),
-                    shard=handle.index,
-                )
-            forwarded = None
-            if trace_id is not None:
-                forwarded = {
-                    "id": trace_id,
-                    "parent": (
-                        relay_span.ref
-                        or request_span.ref
-                        or context.get("parent")
-                    ),
-                }
-            line = wire.canonical_json(
-                wire.RequestEnvelope(
-                    method=envelope.method,
-                    params=envelope.params,
-                    id=uid,
-                    session=envelope.session,
-                    trace=forwarded,
-                )
-            )
-            t_send = time.perf_counter()
-            try:
-                handle.writer.write(line.encode("utf-8") + b"\n")
-                await handle.writer.drain()
-            except (ConnectionResetError, OSError):
-                handle.pending.pop(uid, None)
-                raise ShardFailedError(
-                    f"shard {handle.index} connection failed mid-send",
-                    retry_after_ms=handle.retry_hint_ms,
-                    detail=wire.ErrorDetail(
-                        shard=handle.index, generation=handle.generation
-                    ),
-                ) from None
-            try:
-                data = await future
-            except ServiceError as exc:
-                if admission:
-                    now = time.perf_counter()
-                    code = getattr(exc, "code", "service.error")
-                    request_span.set("error", code)
-                    self.telemetry.record_request(
-                        envelope.method,
-                        total_us=telemetry.us(now - t_recv),
-                        stages={
-                            "supervisor_queue": telemetry.us(t_send - t_recv)
-                        },
-                        session=envelope.session,
-                        shard=handle.index,
-                        trace_id=trace_id,
-                        error=code,
-                    )
-                raise
-            finally:
-                handle.pending.pop(uid, None)
+            handle.writer.write(line.encode("utf-8") + b"\n")
+            await handle.writer.drain()
+            return await future
+        except (ConnectionResetError, OSError):
+            raise self._down_error(handle) from None
         finally:
-            relay_span.close()
-            request_span.close()
-        if admission:
-            t_done = time.perf_counter()
-            stages = dict(data.get("stages") or {})
-            stages["supervisor_queue"] = telemetry.us(t_send - t_recv)
-            stages["relay"] = telemetry.us(t_done - t_send)
-            data["stages"] = stages
-            error = None
-            if not data.get("ok"):
-                error = (data.get("error") or {}).get("code")
-            self.telemetry.record_request(
-                envelope.method,
-                total_us=telemetry.us(t_done - t_recv),
-                stages=stages,
-                session=envelope.session,
-                shard=handle.index,
-                trace_id=trace_id,
-                error=error,
-            )
-        return json.dumps(data, sort_keys=True, separators=(",", ":"))
+            handle.pending.pop(uid, None)
 
     async def _resume_sessions(
         self, handle: ShardHandle, generation: int
@@ -669,232 +532,118 @@ class Supervisor:
             if index == handle.index
         )
         for name in names:
-            if self._closing or not handle.alive:
+            if self._closing or handle.generation != generation:
                 return
-            if handle.generation != generation:
-                return
-            with contextlib.suppress(ServiceError, ReproError):
+            with contextlib.suppress(ReproError):
                 await self._shard_call(handle, "cells", session=name)
 
-    # -- the client-facing server --------------------------------------------
+    # -- routing -------------------------------------------------------------
 
-    async def _serve_connection(self, reader, writer) -> None:
-        self.counters["connections"] += 1
-        self._conn_writers.add(writer)
-        write_lock = asyncio.Lock()
-        pending: set[asyncio.Task] = set()
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                task = asyncio.create_task(
-                    self._serve_line(line, writer, write_lock)
-                )
-                pending.add(task)
-                task.add_done_callback(pending.discard)
-        except (ConnectionResetError, OSError):
-            pass
-        finally:
-            self._conn_writers.discard(writer)
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    async def _serve_line(self, line: bytes, writer, write_lock) -> None:
-        self.counters["requests"] += 1
-        response = await self._respond(line)
-        async with write_lock:
-            with contextlib.suppress(ConnectionResetError, OSError):
-                writer.write(response.encode("utf-8") + b"\n")
-                await writer.drain()
-
-    async def _respond(self, line: bytes) -> str:
-        try:
-            envelope = wire.parse_request(line)
-        except ReproError as exc:
-            self.counters["errors"] += 1
-            return wire.encode_error(_fish_id(line), exc)
-        if envelope.method.startswith("service."):
-            try:
-                return await self._control(envelope)
-            except ReproError as exc:
-                self.counters["errors"] += 1
-                return wire.encode_error(envelope.id, exc)
-        if self._closing:
-            return wire.encode_error(
-                envelope.id, ShutdownError("service is shutting down")
-            )
-        if not envelope.session:
-            self.counters["errors"] += 1
-            return wire.encode_error(
-                envelope.id,
-                BadRequest(
-                    f"method {envelope.method!r} needs a 'session' field"
-                ),
-            )
-        try:
-            handle = self._route(envelope.session)
-            return await self._forward_envelope(handle, envelope)
-        except ServiceError as exc:
-            self.counters["errors"] += 1
-            return wire.encode_error(envelope.id, exc)
-
-    def _route(self, name: str) -> ShardHandle:
-        index = self.session_shard.get(name)
+    def _lease(self, session: str) -> control.RouteResult:
+        """Admit ``session`` and lease its shard's data address — or
+        raise why that shard cannot take it right now."""
+        index = self.session_shard.get(session)
         if index is None:
-            if not _SESSION_NAME.match(name):
-                raise BadSessionName(
-                    f"bad session name {name!r} (want [A-Za-z0-9._-], "
-                    "64 chars max, not starting with . or -)"
-                )
-            if len(self.session_shard) >= self.max_sessions:
-                raise SessionLimitError(
-                    f"session limit reached ({self.max_sessions})"
-                )
-            index = self.ring.shard_for(name)
-            self.session_shard[name] = index
-        return self.shards[index]
+            self._admit(session, len(self.session_shard))
+            index = self.session_shard[session] = self.ring.shard_for(session)
+        handle = self.shards[index]
+        if not handle.alive:
+            raise self._down_error(handle)
+        return control.RouteResult(
+            session=session,
+            direct=True,
+            shard=index,
+            host=handle.data_host,
+            port=handle.data_port,
+            generation=handle.generation,
+            lease_ms=int(self.route_lease * 1000),
+        )
+
+    @staticmethod
+    def _down_error(handle: ShardHandle) -> ServiceError:
+        """Why a down shard takes nothing, with when to ask again."""
+        if handle.governor.circuit_open:
+            return OverloadedError(
+                f"shard {handle.index} is crash-looping; circuit open",
+                retry_after_ms=handle.governor.retry_after_ms(),
+            )
+        return ShardFailedError(
+            f"shard {handle.index} is restarting",
+            retry_after_ms=handle.retry_hint_ms,
+            detail=wire.ErrorDetail(
+                shard=handle.index, generation=handle.generation
+            ),
+        )
+
+    async def _session_command(self, envelope: wire.RequestEnvelope) -> str:
+        route = self._lease(envelope.session)
+        raise SessionMovedError(
+            f"session {envelope.session!r} lives on shard {route.shard} "
+            f"at {route.host}:{route.port}; send it there",
+            detail=wire.ErrorDetail(
+                shard=route.shard,
+                generation=route.generation,
+                host=route.host,
+                port=route.port,
+            ),
+        )
 
     # -- the control plane ---------------------------------------------------
 
-    async def _control(self, envelope: wire.RequestEnvelope) -> str:
-        request_cls, _ = control.control_types(envelope.method)
-        request = from_jsonable(
-            request_cls, dict(envelope.params), where=envelope.method
-        )
-        if envelope.method == "service.ping":
-            result = control.PingResult(
-                version=PROTOCOL_VERSION,
-                sessions=len(self.session_shard),
-                metrics=(
-                    self._own_telemetry() if request.telemetry else None
-                ),
-            )
-        elif envelope.method == "service.hello":
-            result = control.HelloResult(
-                version=PROTOCOL_VERSION,
-                server=self.process_label,
-                capabilities=("direct_routing", "telemetry"),
-            )
-        elif envelope.method == "service.route":
-            result = self._route_result(request.session)
-        elif envelope.method == "service.describe":
-            result = build_manifest(control.CONTROL)
-        elif envelope.method == "service.sessions":
-            result = await self._collect_sessions()
-        elif envelope.method == "service.stats":
-            result = await self._collect_stats()
-        elif envelope.method == "service.telemetry":
-            result = await self._collect_telemetry(request)
-        else:  # service.shutdown — ack, then drain in the background.
-            result = control.ShutdownResult(
-                sessions=len(self.session_shard),
-                journaled=(
-                    len(self.session_shard)
-                    if self.journal_dir is not None
-                    else 0
-                ),
-            )
-            self.request_shutdown()
-        return wire.encode_result(envelope.id, envelope.method, result)
+    async def _on_route(self, request) -> control.RouteResult:
+        return self._lease(request.session)
 
-    def _route_result(self, session: str) -> "control.RouteResult":
-        """Answer ``service.route``: where the session lives, and — when
-        its shard is up — a direct lease.  Routing *admits* the session
-        (same census as a relayed first command), so the error codes a
-        client sees here match what the relay would have said."""
-        handle = self._route(session)
-        if handle.alive and handle.data_port is not None:
-            return control.RouteResult(
-                session=session,
-                direct=True,
-                shard=handle.index,
-                host=handle.data_host,
-                port=handle.data_port,
-                generation=handle.generation,
-                lease_ms=int(self.route_lease * 1000),
-            )
-        # Down or mid-restart: relay for now, re-ask after the hint.
-        return control.RouteResult(
-            session=session,
-            direct=False,
-            shard=handle.index,
-            lease_ms=handle.retry_hint_ms,
+    async def _on_ping(self, request) -> control.PingResult:
+        return control.PingResult(
+            version=PROTOCOL_VERSION,
+            sessions=len(self.session_shard),
+            metrics=self._own_telemetry() if request.telemetry else None,
+        )
+
+    async def _on_shutdown(self, request) -> control.ShutdownResult:
+        """Ack, then drain in the background."""
+        self.request_shutdown()
+        sessions = len(self.session_shard)
+        return control.ShutdownResult(
+            sessions=sessions,
+            journaled=sessions if self.journal_dir is not None else 0,
         )
 
     def _own_telemetry(self) -> dict:
-        """The supervisor process's own metrics: stage histograms,
-        the process registry, and the routing counters (prefixed
-        ``supervisor.`` so they never sum with the shards' distinct
-        ``service.*`` counters in a merge)."""
-        merged = metrics.merge_snapshots(
-            metrics.registry().snapshot(), self.telemetry.snapshot()
-        )
+        """The supervisor process's own metrics: the process registry
+        and the routing counters (prefixed ``supervisor.`` so they never
+        sum with the shards' distinct ``service.*`` counters in a
+        merge)."""
+        merged = dict(metrics.registry().snapshot())
         for key, value in self.counters.items():
             name = f"supervisor.{key}"
             merged[name] = merged.get(name, 0) + value
         return {name: merged[name] for name in sorted(merged)}
 
-    async def _collect_telemetry(
-        self, request: control.TelemetryRequest
-    ) -> control.TelemetryResult:
+    async def _on_telemetry(self, request) -> control.TelemetryResult:
         """The distributed view: refresh every live shard's snapshot
-        (a telemetry ping, same as the heartbeat's), then merge."""
-
-        async def refresh(handle: ShardHandle) -> None:
-            if not handle.alive:
-                return
-            try:
-                raw = await asyncio.wait_for(
-                    self._shard_call(
-                        handle, "service.ping", params={"telemetry": True}
-                    ),
-                    self.heartbeat_timeout,
-                )
-                self._absorb_pong(handle, raw)
-            except (ServiceError, ReproError, asyncio.TimeoutError, OSError):
-                pass  # keep the last heartbeat's snapshot
-
-        await asyncio.gather(*(refresh(h) for h in self.shards))
+        (a telemetry ping, same as the heartbeat's), then merge.  Every
+        request executes on a shard, so the shards' histograms and
+        flight records are the whole service's."""
+        await asyncio.gather(*(self._refresh_quietly(h) for h in self.shards))
         own = self._own_telemetry()
-        # Channel ownership keeps the merge exact: the supervisor's
-        # histograms hold every *relayed* request, each shard's hold
-        # only its *direct* ones (see SessionWorker._dispatch), so
-        # merging them counts each request exactly once, whichever
-        # plane it travelled.
         merged = metrics.merge_snapshots(
             own, *((h.last_metrics or {}) for h in self.shards)
         )
-        slowest_records: list = []
-        errored_records: list = []
+        slowest: list[control.FlightRecord] = []
+        errored: list[control.FlightRecord] = []
         if request.slow:
-            slowest, errored = self.telemetry.flight()
-            slowest_records = [
-                control.FlightRecord(**entry) for entry in slowest
-            ]
-            errored_records = [
-                control.FlightRecord(**entry) for entry in errored
-            ]
-            # Direct traffic never crosses the supervisor, so its
-            # flight records live in the shards; pull them in.
             for _, result in await self._control_fanout(
                 "service.telemetry",
                 control.TelemetryResult,
                 params={"slow": True},
             ):
-                if result is None:
-                    continue
-                slowest_records.extend(result.slowest)
-                errored_records.extend(result.errored)
-            keep = self.telemetry.recorder.keep
-            slowest_records.sort(key=lambda r: -r.total_us)
-            del slowest_records[keep:]
-            del errored_records[keep:]
+                if result is not None:
+                    slowest.extend(result.slowest)
+                    errored.extend(result.errored)
+            slowest.sort(key=lambda r: -r.total_us)
+            del slowest[telemetry.FLIGHT_KEEP:]
+            del errored[telemetry.FLIGHT_KEEP:]
         return control.TelemetryResult(
             process=self.process_label,
             pid=os.getpid(),
@@ -906,8 +655,8 @@ class Supervisor:
                 )
                 for h in self.shards
             ),
-            slowest=tuple(slowest_records),
-            errored=tuple(errored_records),
+            slowest=tuple(slowest),
+            errored=tuple(errored),
         )
 
     async def _control_fanout(
@@ -916,80 +665,68 @@ class Supervisor:
         """(handle, typed result | None) for every shard, concurrently."""
 
         async def one(handle: ShardHandle):
-            if not handle.alive:
-                return handle, None
             try:
-                raw = await asyncio.wait_for(
+                response = await asyncio.wait_for(
                     self._shard_call(handle, method, params=params),
                     self.heartbeat_timeout,
                 )
-                parsed = wire.parse_response(raw)
-                if not parsed.ok:
+                if not response.ok:
                     return handle, None
                 return handle, from_jsonable(
-                    result_cls, parsed.result, where=method
+                    result_cls, response.result, where=method
                 )
-            except (ServiceError, ReproError, asyncio.TimeoutError, OSError):
+            except (ReproError, asyncio.TimeoutError, OSError):
                 return handle, None
 
         return await asyncio.gather(*(one(h) for h in self.shards))
 
-    async def _collect_sessions(self) -> control.SessionsResult:
-        collected = await self._control_fanout(
-            "service.sessions", control.SessionsResult
-        )
-        merged: list[control.SessionInfo] = []
-        for handle, result in collected:
-            if result is None:
-                continue
-            for info in result.sessions:
-                merged.append(
-                    control.SessionInfo(
-                        name=info.name,
-                        queued=info.queued,
-                        executed=info.executed,
-                        failed=info.failed,
-                        journal=info.journal,
-                        shard=handle.index,
-                    )
-                )
+    async def _on_sessions(self, request) -> control.SessionsResult:
+        merged = [
+            control.SessionInfo(
+                name=info.name,
+                queued=info.queued,
+                executed=info.executed,
+                failed=info.failed,
+                journal=info.journal,
+                shard=handle.index,
+            )
+            for handle, result in await self._control_fanout(
+                "service.sessions", control.SessionsResult
+            )
+            if result is not None
+            for info in result.sessions
+        ]
         merged.sort(key=lambda info: info.name)
         return control.SessionsResult(sessions=tuple(merged))
 
-    async def _collect_stats(self) -> control.ServiceStatsResult:
-        collected = await self._control_fanout(
-            "service.stats", control.ServiceStatsResult
+    async def _on_stats(self, request) -> control.ServiceStatsResult:
+        # Each command executes in exactly one shard, so summing the
+        # per-shard figures gives the service-wide totals.
+        totals = dict.fromkeys(
+            (
+                "errors",
+                "timeouts",
+                "backpressure",
+                "queued",
+                "shed",
+                "direct_requests",
+                "library_publishes",
+                "library_conflicts",
+                "library_cascades",
+                "cache_hits",
+                "cache_misses",
+                "cache_evictions",
+            ),
+            0,
         )
-        errors = self.counters["errors"]
-        timeouts = 0
-        backpressure = 0
-        queued = 0
-        shed = self.counters["shed"]
-        direct_requests = 0
-        cache_hits = 0
-        cache_misses = 0
-        cache_evictions = 0
-        library_publishes = 0
-        library_conflicts = 0
-        library_cascades = 0
+        totals["errors"] = self.counters["errors"]
         shard_stats: list[control.ShardStats] = []
-        for handle, stats in collected:
+        for handle, stats in await self._control_fanout(
+            "service.stats", control.ServiceStatsResult
+        ):
             if stats is not None:
-                errors += stats.errors
-                timeouts += stats.timeouts
-                backpressure += stats.backpressure
-                queued += stats.queued
-                shed += stats.shed
-                direct_requests += stats.direct_requests
-                cache_hits += stats.cache_hits
-                cache_misses += stats.cache_misses
-                cache_evictions += stats.cache_evictions
-                # Each operation executes in exactly one shard, so
-                # summing the per-process store counters gives the
-                # store-wide totals.
-                library_publishes += stats.library_publishes
-                library_conflicts += stats.library_conflicts
-                library_cascades += stats.library_cascades
+                for key in totals:
+                    totals[key] += getattr(stats, key)
             shard_stats.append(
                 control.ShardStats(
                     index=handle.index,
@@ -1004,36 +741,17 @@ class Supervisor:
         return control.ServiceStatsResult(
             connections=self.counters["connections"],
             requests=self.counters["requests"],
-            errors=errors,
-            timeouts=timeouts,
-            backpressure=backpressure,
             sessions=len(self.session_shard),
             pid=os.getpid(),
-            queued=queued,
-            shed=shed,
             shard_failures=self.counters["shard_failures"],
-            direct_requests=direct_requests,
             shards=tuple(shard_stats),
-            library_publishes=library_publishes,
-            library_conflicts=library_conflicts,
-            library_cascades=library_cascades,
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
-            cache_evictions=cache_evictions,
+            **totals,
         )
 
     # -- shutdown ------------------------------------------------------------
 
-    def request_shutdown(self) -> None:
-        """Begin a graceful drain (idempotent, signal-handler safe)."""
-        if self._shutdown_task is None:
-            self._shutdown_task = asyncio.ensure_future(self._shutdown())
-
-    async def _shutdown(self) -> None:
-        self._closing = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+    async def _drain(self) -> None:
+        """Shut every shard down gracefully, then stop the heartbeats."""
         for handle in self.shards:
             if handle.restart_task is not None:
                 handle.restart_task.cancel()
@@ -1042,21 +760,10 @@ class Supervisor:
             # One last telemetry fetch, so the ``--metrics`` export
             # reflects the shard's final numbers, not its last
             # heartbeat's.
-            with contextlib.suppress(
-                ServiceError, ReproError, asyncio.TimeoutError
-            ):
-                raw = await asyncio.wait_for(
-                    self._shard_call(
-                        handle, "service.ping", params={"telemetry": True}
-                    ),
-                    self.heartbeat_timeout,
-                )
-                self._absorb_pong(handle, raw)
+            await self._refresh_quietly(handle)
             # Graceful: the shard drains its queues and checkpoints
             # every WAL before exiting; SIGKILL only past the deadline.
-            with contextlib.suppress(
-                ServiceError, ReproError, asyncio.TimeoutError
-            ):
+            with contextlib.suppress(ReproError, asyncio.TimeoutError):
                 await asyncio.wait_for(
                     self._shard_call(handle, "service.shutdown"), 5.0
                 )
@@ -1070,117 +777,3 @@ class Supervisor:
             handle.alive = False
         for task in self._heartbeat_tasks:
             task.cancel()
-        # Hang up on open client connections so their handler tasks
-        # finish before the loop does (a cancelled readline is noisy).
-        for writer in list(self._conn_writers):
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-        await asyncio.sleep(0.01)
-        self._closed.set()
-
-
-def _install_signal_handlers(service) -> None:
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        with contextlib.suppress(NotImplementedError):
-            loop.add_signal_handler(sig, service.request_shutdown)
-
-
-async def _amain(args) -> None:
-    supervisor = await Supervisor(
-        host=args.host,
-        port=args.port,
-        shards=args.shards,
-        max_sessions=args.max_sessions,
-        queue_limit=args.queue_limit,
-        timeout=args.timeout,
-        shed_at=args.shed_at,
-        journal_dir=args.journal_dir,
-    ).start()
-    print(f"listening on {supervisor.host}:{supervisor.port}", flush=True)
-    _install_signal_handlers(supervisor)
-    await supervisor.serve_forever()
-
-
-# -- in-process harness (tests, benchmarks) ---------------------------------
-
-
-class SupervisorThread:
-    """Run a :class:`Supervisor` on a background thread's event loop.
-
-    Mirrors :class:`repro.service.server.ServiceThread`; the shards are
-    real subprocesses either way, so this harness exercises the full
-    crash-isolation story from a test.
-    """
-
-    def __init__(self, **kwargs) -> None:
-        self._kwargs = kwargs
-        self.supervisor: Supervisor | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread = None
-        self._ready = None
-        self._startup_error: BaseException | None = None
-
-    def start(self) -> "SupervisorThread":
-        import threading
-
-        self._ready = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="riot-supervisor", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=120):
-            raise ServiceError("supervisor thread failed to start")
-        if self._startup_error is not None:
-            raise self._startup_error
-        return self
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._amain())
-        except BaseException as exc:  # pragma: no cover - startup failures
-            self._startup_error = exc
-            self._ready.set()
-
-    async def _amain(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        try:
-            self.supervisor = await Supervisor(**self._kwargs).start()
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self._ready.set()
-        await self.supervisor.serve_forever()
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self.supervisor.host, self.supervisor.port
-
-    def stop(self) -> None:
-        if self._loop is not None and self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self.supervisor.request_shutdown)
-        self._thread.join(timeout=120)
-
-    def __enter__(self) -> "SupervisorThread":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-
-#: Recovery-time bookkeeping for benchmarks: wall-clock helpers only.
-def wait_for_shard_alive(
-    client, index: int, deadline_s: float = 30.0
-) -> float:
-    """Poll ``service.stats`` until shard ``index`` is alive again;
-    returns the seconds waited (benchmark helper)."""
-    start = time.perf_counter()
-    while time.perf_counter() - start < deadline_s:
-        stats = client.call("service.stats")
-        for shard in stats.shards:
-            if shard.index == index and shard.alive:
-                return time.perf_counter() - start
-        time.sleep(0.02)
-    raise TimeoutError(f"shard {index} did not come back within {deadline_s}s")

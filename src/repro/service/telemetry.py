@@ -13,17 +13,13 @@ The stage names, in request order:
 ``client``
     the whole round trip as the client measured it (only the client
     knows this one; it reports it into its own process's registry);
-``supervisor_queue``
-    parse-to-forward time inside the supervisor (absent single-process
-    and on the direct path);
-``relay``
-    supervisor→shard hop: forward written to response line read back
-    (absent single-process and on the direct path);
 ``direct``
-    the shard's own turnaround for a direct-to-shard request: line
-    parsed to response encoded, queue and handler included — the
-    data-plane analog of ``relay``, without the supervisor hop
-    (absent on relayed requests);
+    a direct-to-shard request's turnaround inside the shard: from the
+    moment the parsed request is queued to its session until its
+    handler returns, so it covers ``shard_queue`` and ``handler``.
+    Socket read, parse, encode and write fall outside it, so the
+    client's round trip minus ``direct`` is the wire's share (absent
+    on single-process requests, which carry no route lease);
 ``shard_queue``
     waiting in the session's bounded command queue for its one thread;
 ``handler``
@@ -35,9 +31,11 @@ The stage names, in request order:
 A :class:`TelemetryHub` owns one process's stage histograms plus a
 bounded **flight recorder** of the slowest and the errored requests,
 each with its full stage decomposition — the first place to look when
-a tail latency or an error spike needs a concrete culprit.  Shards
-piggyback their hub snapshots on heartbeat pongs; the supervisor keeps
-the latest per shard and merges them (histograms merge bucket-wise,
+a tail latency or an error spike needs a concrete culprit.  Every
+session command executes on exactly one shard (or the single-process
+server), which records it once.  Shards piggyback their hub snapshots
+on heartbeat pongs; the supervisor keeps the latest per shard and
+merges them (histograms merge bucket-wise,
 see :func:`repro.obs.metrics.merge_snapshots`) into the whole-service
 view ``service.telemetry`` serves.
 """
@@ -53,8 +51,6 @@ from repro.obs.metrics import MetricsRegistry
 #: Stage names in request order (the rendering order of ``repro top``).
 STAGES: tuple[str, ...] = (
     "client",
-    "supervisor_queue",
-    "relay",
     "direct",
     "shard_queue",
     "handler",
@@ -109,6 +105,10 @@ def command_class(method: str) -> str:
     return "io"
 
 
+#: How many slowest and errored requests a flight recorder keeps.
+FLIGHT_KEEP = 32
+
+
 def us(seconds: float) -> int:
     """Seconds to integer microseconds (the wire unit for stages)."""
     return int(round(seconds * 1_000_000))
@@ -120,12 +120,11 @@ class FlightRecorder:
     Keeps the ``keep`` slowest requests (a min-heap on total time, so
     a faster-than-the-floor request costs one comparison) and the last
     ``keep`` errored ones (a ring), each as a plain dict shaped like
-    :class:`repro.service.control.FlightRecord`.  Thread-safe; the
-    shard's session threads and the supervisor's event loop both feed
-    it directly.
+    :class:`repro.service.control.FlightRecord`.  Thread-safe: every
+    session thread of the process feeds it directly.
     """
 
-    def __init__(self, keep: int = 32) -> None:
+    def __init__(self, keep: int = FLIGHT_KEEP) -> None:
         self.keep = keep
         self._seq = 0
         self._slow: list[tuple[int, int, dict]] = []  # (total_us, seq, entry)
@@ -167,7 +166,9 @@ class TelemetryHub:
     need.
     """
 
-    def __init__(self, process: str = "server", keep: int = 32) -> None:
+    def __init__(
+        self, process: str = "server", keep: int = FLIGHT_KEEP
+    ) -> None:
         self.process = process
         self.registry = MetricsRegistry()
         self.recorder = FlightRecorder(keep)

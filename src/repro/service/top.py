@@ -6,7 +6,7 @@ and prints where the milliseconds go:
 
 * per command class (edit / read / io / library / control), the
   latency quantiles of the whole request;
-* per stage (supervisor queue, relay hop, shard queue, handler, WAL
+* per stage (direct shard turnaround, shard queue, handler, WAL
   fsync), the same quantiles — the stage rows of an ``edit`` p99 are
   the attribution the paper's interactive-response claim needs;
 * per shard, liveness and its own request count/quantiles;

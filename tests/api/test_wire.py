@@ -276,7 +276,8 @@ class TestRegistryContract:
         assert wire.parse_response(line).error.detail is None
 
     def test_relay_requests_omit_the_generation_key(self):
-        # Old servers parse new clients' relay lines: no generation.
+        # Old servers parse new clients' lines that carry no route
+        # lease: no generation key.
         from repro.api import wire
 
         line = wire.encode_request(

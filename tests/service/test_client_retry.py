@@ -75,7 +75,8 @@ class ScriptedServer:
     recorded — because every new client opens with the handshake;
     ``hello=False`` simulates a pre-handshake server that rejects it
     with ``api.unknown_command``.  Either way no capabilities are
-    advertised, so clients under test always relay."""
+    advertised, so clients under test send everything on the socket
+    they hold."""
 
     def __init__(self, behaviors: list[str], *, hello: bool = True) -> None:
         self.hello = hello
@@ -213,8 +214,8 @@ class TestErrorRetries:
         assert len(srv.requests) == 3
 
     def test_moved_retried_for_replayable(self):
-        # A stale route lease on the relay path: refresh and retry —
-        # new_cell is replayable, so a duplicate send is safe.
+        # A stale route lease: refresh and retry — new_cell is
+        # replayable, so a duplicate send is safe.
         with ScriptedServer(["moved", "ok"]) as srv:
             with client_for(srv) as client:
                 assert client.call("new_cell", name="top").name == "top"
@@ -264,7 +265,8 @@ class TestHello:
 
     def test_old_server_rejecting_hello_still_works(self):
         # A pre-handshake server answers api.unknown_command; the
-        # client treats that as the empty capability set and relays.
+        # client treats that as the empty capability set and sends
+        # session commands on the same socket.
         with ScriptedServer(["ok"], hello=False) as srv:
             with client_for(srv) as client:
                 assert client.call("new_cell", name="t").name == "t"

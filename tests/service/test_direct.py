@@ -1,8 +1,9 @@
 """The direct-to-shard data plane, end to end: the negotiated routing
-handshake, direct traffic bypassing the supervisor, lease-generation
-staleness after a shard restart, relay failover mid-kill, and the
-chaos crash-point invariant on the direct path — all against real
-shard subprocesses via :class:`SupervisorThread`."""
+handshake, direct traffic bypassing the supervisor, the supervisor
+executing no session command, lease-generation staleness after a shard
+restart, route retries through a kill, and the chaos crash-point
+invariant on the direct path — all against real shard subprocesses
+via :class:`SupervisorThread`."""
 
 from __future__ import annotations
 
@@ -106,14 +107,6 @@ class TestDirectPath:
             stats = control.call("service.stats")
         assert stats.direct_requests >= 5
 
-    def test_direct_false_pins_the_relay_path(self, sup):
-        with client_for(sup, session="dr-pinned", direct=False) as client:
-            client.call("new_cell", name="top")
-            stages = dict(client.last_stages)
-        assert client.direct_calls == 0
-        assert client.relayed_calls >= 1
-        assert "relay" in stages and "direct" not in stages
-
     def test_direct_request_to_the_wrong_shard_is_refused(self, sup):
         # Dial shard A's data socket, stamp a lease, but name a session
         # the ring assigns to shard B: the shard itself refuses.
@@ -128,11 +121,7 @@ class TestDirectPath:
             route = client._route
             assert route is not None
             with ServiceClient(
-                route.host,
-                route.port,
-                session=other,
-                retry=NO_RETRY,
-                direct=False,
+                route.host, route.port, session=other, retry=NO_RETRY
             ) as intruder:
                 # Forge a direct envelope by stamping the generation.
                 from repro.service.client import method_types
@@ -227,28 +216,107 @@ class TestFailover:
                 assert client.direct_calls == 2
                 with client_for(srv) as control:
                     os.kill(shard_pid_for(control, 0), signal.SIGKILL)
-                # The direct socket is dead: the client falls back
-                # through the supervisor relay and rides out the
-                # restart with retries.
+                # The direct socket is dead: the client asks for a new
+                # route, which the supervisor refuses while the shard
+                # restarts, and retries until the restarted shard
+                # takes the command directly.
                 moved = client.call("move", name="g0", to=(400, 20000))
                 assert moved.x == 400
                 assert client.retries >= 1
+                assert client.direct_calls == 3
+                assert client.route_refreshes >= 2
                 with client_for(srv) as control:
                     wait_for_restart(control, 0)
-                # After the relay-until window passes, the client
-                # re-routes and the direct path comes back.
-                direct_before = client.direct_calls
-                deadline = time.monotonic() + 10.0
-                while time.monotonic() < deadline:
-                    client.call("rotate", name="g0")
-                    if client.direct_calls > direct_before:
-                        break
-                    time.sleep(0.1)
-                assert client.direct_calls > direct_before
-                assert client.route_refreshes >= 2
+                assert client.call("rotate", name="g0").name == "g0"
+                assert client.direct_calls == 4
         journal = wal.load_path(tmp_path / "shard-0" / f"{name}.wal")
         assert journal.corruption is None
         assert journal.entries[0].command == "new_cell"
+
+
+class TestOnePath:
+    """The supervisor is a control plane only: it executes no session
+    command, and answers for a down shard with a retry hint."""
+
+    def test_session_command_sent_to_the_supervisor_answers_moved(self, sup):
+        from repro.service.client import method_types
+
+        name = "dr-one-path"
+        with client_for(sup, session=name, retry=NO_RETRY) as client:
+            route = client.call("service.route", session=name)
+            request_cls, _ = method_types("new_cell")
+            with pytest.raises(ReproError) as excinfo:
+                client._round_trip(
+                    "new_cell", request_cls(name="top"), file=client._file
+                )
+        error = excinfo.value
+        assert error.code == "service.moved"
+        assert (error.detail.host, error.detail.port) == (
+            route.host,
+            route.port,
+        )
+        assert error.detail.shard == route.shard
+        assert error.detail.generation == route.generation
+        journal_dir = sup.service.journal_dir
+        wal_path = journal_dir / f"shard-{route.shard}" / f"{name}.wal"
+        assert not wal_path.exists()
+        with client_for(sup) as control:
+            listed = control.call("service.sessions").sessions
+        assert name not in {s.name for s in listed}
+
+
+def route_error_while_down(control, session: str, deadline: float = 1.5):
+    """Poll ``service.route`` until the supervisor refuses it."""
+    start = time.monotonic()
+    while time.monotonic() - start < deadline:
+        try:
+            control.call("service.route", session=session)
+        except ReproError as exc:
+            return exc
+        time.sleep(0.01)
+    raise TimeoutError("the route never reported the shard down")
+
+
+#: A deterministic restart window: the supervisor waits two seconds
+#: before respawning a dead shard.
+SLOW_RESTART = {"base_delay": 2.0, "max_delay": 2.0}
+
+
+class TestDownShardRoute:
+    def test_route_to_a_killed_shard_answers_shard_failed(self, tmp_path):
+        name = "dr-down"
+        with SupervisorThread(
+            shards=1, journal_dir=tmp_path, governor_kwargs=SLOW_RESTART
+        ) as srv:
+            with client_for(srv, session=name) as client:
+                client.call("new_cell", name="top")
+            with client_for(srv, retry=NO_RETRY) as control:
+                os.kill(shard_pid_for(control, 0), signal.SIGKILL)
+                error = route_error_while_down(control, name)
+        assert error.code == "service.shard_failed"
+        assert error.retry_after_ms is not None and error.retry_after_ms > 0
+        assert error.detail.shard == 0
+
+    def test_non_replayable_command_sent_while_down_runs_once_back(
+        self, tmp_path
+    ):
+        name = "dr-down-io"
+        with SupervisorThread(
+            shards=1, journal_dir=tmp_path, governor_kwargs=SLOW_RESTART
+        ) as srv:
+            with client_for(srv, session=name) as client:
+                client.call("new_cell", name="top")
+            with client_for(srv, retry=NO_RETRY) as control:
+                os.kill(shard_pid_for(control, 0), signal.SIGKILL)
+                route_error_while_down(control, name)
+            # writecif is not replayable, but a refused route sent
+            # nothing: the client waits the restart out and the command
+            # runs once the shard is back.
+            with client_for(srv, session=name) as client:
+                written = client.call("writecif", cell="top", path="top.cif")
+                assert (written.cell, written.path) == ("top", "top.cif")
+                assert client.retries >= 1
+                assert client.direct_calls == 1
 
 
 class TestChaosCrashPointDirect:

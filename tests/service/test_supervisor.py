@@ -313,3 +313,24 @@ class TestChaosCrashPoint:
         assert [e.command for e in journal.entries] == ["new_cell"] + [
             "create"
         ] * 6
+
+
+class TestCrashLoopBreaker:
+    def test_shard_serving_direct_traffic_is_not_crash_looping(
+        self, monkeypatch
+    ):
+        # Every life acknowledges one command on its data socket and
+        # dies: a productive life each time, so restarts stay prompt
+        # and the circuit never opens.
+        monkeypatch.setenv("REPRO_CHAOS", "kill-shard-after:1")
+        with SupervisorThread(shards=1) as srv:
+            governor = srv.service.shards[0].governor
+            with client_for(srv, session="looper") as client:
+                for call in range(8):
+                    t0 = time.monotonic()
+                    assert "nand" in client.call("cells").names
+                    elapsed = time.monotonic() - t0
+                    assert elapsed < 2.0, (call, elapsed)
+                    assert not governor.circuit_open, call
+                assert client.direct_calls == 8
+            assert governor.failures == 0

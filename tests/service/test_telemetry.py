@@ -6,7 +6,7 @@ cross-process) spans in :mod:`repro.obs.trace`; the ``trace`` /
 ``stages`` envelope fields on the wire; then the live aggregation —
 ``service.telemetry`` on a single-process service and on a supervised
 sharded one, heartbeat piggybacking included — and the satellite
-regression: per-session metrics isolation across the sharded relay.
+regression: per-session metrics isolation across shards.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.service.client import ServiceClient
 from repro.service.server import ServiceThread
 from repro.service.supervisor import SupervisorThread
 from repro.service.telemetry import (
-    STAGES,
     FlightRecorder,
     TelemetryHub,
     command_class,
@@ -142,14 +141,14 @@ class TestDetachedSpans:
 
     def test_detached_close_off_thread_leaves_stack_alone(self):
         tracer = trace.Tracer()
-        span = tracer.begin("relay.hop")
+        span = tracer.begin("shard.request")
         worker = threading.Thread(target=span.close)
         worker.start()
         worker.join()
         with tracer.span("unrelated"):
             pass
         assert {r.name for r in tracer.finished()} == {
-            "relay.hop", "unrelated"
+            "shard.request", "unrelated"
         }
 
     def test_module_begin_is_null_span_when_disabled(self):
@@ -271,7 +270,7 @@ def shard_of(host, port, session):
 
 class TestShardedTelemetry:
     def test_merged_counts_requests_exactly_once(self, sharded):
-        host, port = sharded.supervisor.host, sharded.supervisor.port
+        host, port = sharded.address
         with ServiceClient(host, port) as control:
             before = control.call("service.telemetry")
         n_before = before.merged.get("rpc.requests", 0)
@@ -284,7 +283,7 @@ class TestShardedTelemetry:
         assert after.process == "supervisor"
 
     def test_per_shard_views_come_from_heartbeat_piggyback(self, sharded):
-        host, port = sharded.supervisor.host, sharded.supervisor.port
+        host, port = sharded.address
         drive(host, port, "tel-shardview")
         index = shard_of(host, port, "tel-shardview")
         with ServiceClient(host, port) as control:
@@ -300,7 +299,7 @@ class TestShardedTelemetry:
         assert "rpc.all.relay" not in view.metrics
 
     def test_supervisor_counters_stay_out_of_shard_sums(self, sharded):
-        host, port = sharded.supervisor.host, sharded.supervisor.port
+        host, port = sharded.address
         drive(host, port, "tel-prefix")
         with ServiceClient(host, port) as control:
             result = control.call("service.telemetry")
@@ -316,29 +315,15 @@ class TestShardedTelemetry:
         # The client negotiated direct routing, so the decomposition is
         # the data-plane one: the shard's own turnaround under
         # ``direct``, no supervisor hop at all.
-        host, port = sharded.supervisor.host, sharded.supervisor.port
+        host, port = sharded.address
         _, stages = drive(host, port, "tel-decomp")
         for stage in ("client", "direct", "shard_queue", "handler", "fsync"):
             assert stage in stages, stages
         assert "relay" not in stages and "supervisor_queue" not in stages
         assert stages["client"] >= stages["direct"] >= stages["handler"]
 
-    def test_relay_path_still_decomposes_supervisor_stages(self, sharded):
-        host, port = sharded.supervisor.host, sharded.supervisor.port
-        with ServiceClient(
-            host, port, session="tel-relayed", direct=False
-        ) as client:
-            client.call("new_cell", name="bench")
-            stages = dict(client.last_stages)
-        for stage in STAGES:
-            if stage == "direct":
-                assert stage not in stages, stages
-            else:
-                assert stage in stages, stages
-        assert stages["client"] >= stages["relay"]
-
     def test_flight_recorder_attributes_shard_and_session(self, sharded):
-        host, port = sharded.supervisor.host, sharded.supervisor.port
+        host, port = sharded.address
         drive(host, port, "tel-flight")
         with ServiceClient(host, port) as control:
             result = control.call("service.telemetry", slow=True)
@@ -346,13 +331,12 @@ class TestShardedTelemetry:
         entry = result.slowest[0]
         assert entry.session is not None
         assert entry.shard in (0, 1)
-        # Relayed entries carry the supervisor's stages; direct entries
-        # (merged in from the shards' own recorders) carry ``direct``.
-        stages = set(entry.stages)
-        assert stages >= {"supervisor_queue", "relay"} or "direct" in stages
+        # Every entry comes from a shard's own recorder: the request
+        # went direct, so its stages carry the shard's turnaround.
+        assert "direct" in entry.stages
 
     def test_trace_context_stitches_when_client_traces(self, sharded):
-        host, port = sharded.supervisor.host, sharded.supervisor.port
+        host, port = sharded.address
         tracer = trace.enable(trace.Tracer())
         previous = trace.set_process_label("client")
         try:
@@ -375,10 +359,10 @@ class TestShardedTelemetry:
 
 class TestSessionIsolationAcrossShards:
     """Satellite: two concurrent sessions must not bleed counters into
-    each other's ``stats`` view through the sharded relay."""
+    each other's ``stats`` view across shards."""
 
     def test_stats_stay_per_session(self, sharded):
-        host, port = sharded.supervisor.host, sharded.supervisor.port
+        host, port = sharded.address
         # Find two session names that land on different shards.
         names = [f"iso-{i}" for i in range(8)]
         placed: dict[str, int] = {}
