@@ -134,13 +134,23 @@ class CompositionCell:
     Connectors are those promoted from instances when the cell is
     finished (``refresh_connectors``) — "a composition cell created by
     Riot includes those connectors from its instances which lie on its
-    bounding box".
+    bounding box".  That list is replaced, never mutated in place, so
+    instances of this cell can tell by identity whether it changed.
     """
+
+    #: ``(instance boxes, box)``: the bounding box with the boxes it is
+    #: the union of.  Left out of pickles and copies.
+    _box_cache: tuple | None = None
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.instances: list["Instance"] = []
         self._connectors: list[Connector] = []
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_box_cache", None)
+        return state
 
     # -- instance management ---------------------------------------------------
 
@@ -233,7 +243,13 @@ class CompositionCell:
     def bounding_box(self) -> Box:
         if not self.instances:
             raise CompositionError(f"composition cell {self.name!r} is empty")
-        return union_all(inst.bounding_box() for inst in self.instances)
+        boxes = tuple(inst.bounding_box() for inst in self.instances)
+        cached = self._box_cache
+        if cached is not None and cached[0] == boxes:
+            return cached[1]
+        box = union_all(boxes)
+        self._box_cache = (boxes, box)
+        return box
 
     @property
     def connectors(self) -> list[Connector]:

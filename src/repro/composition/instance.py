@@ -9,6 +9,15 @@ by the instance information."
 Arrays expose only their outside-edge connectors: "array elements must
 connect properly by abutment, because Riot allows no access to
 interior connectors on arrays."
+
+That view is derived, so an instance caches it: the bounding box and
+the connector list (with a name index) are kept beside the inputs they
+were computed from and reused while those inputs compare equal — the
+same objects, on the fast path.  Every edit assigns new values
+(``Transform``, ``Point`` and ``Box`` are frozen, leaf cells never
+change, a composition's promoted-connector list is replaced, never
+mutated in place), so the comparison is a sound validity test and no
+mutation site has to invalidate anything.
 """
 
 from __future__ import annotations
@@ -49,6 +58,12 @@ class InstanceConnector:
 class Instance:
     """A placed (and possibly replicated) use of a cell."""
 
+    #: ``(inputs, box)`` and ``(inputs, connectors, by_name)``: the
+    #: derived views with the inputs they were computed from.  Class
+    #: defaults until first computed; left out of pickles and copies.
+    _box_cache: tuple | None = None
+    _view_cache: tuple | None = None
+
     def __init__(
         self,
         name: str,
@@ -66,16 +81,31 @@ class Instance:
         self.transform = transform or Transform.identity()
         self.nx = nx
         self.ny = ny
-        cell_box = cell.bounding_box()
         # Default replication spacing abuts the elements edge to edge.
-        self.dx = dx if dx is not None else cell_box.width
-        self.dy = dy if dy is not None else cell_box.height
+        width, height = self.abutting_spacing()
+        self.dx = dx if dx is not None else width
+        self.dy = dy if dy is not None else height
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_box_cache", None)
+        state.pop("_view_cache", None)
+        return state
 
     # -- geometry ------------------------------------------------------------
 
     @property
     def is_array(self) -> bool:
         return self.nx > 1 or self.ny > 1
+
+    def abutting_spacing(self) -> tuple[int, int]:
+        """The ``(dx, dy)`` that abuts array elements edge to edge: the
+        cell's width and height as this instance orients it, so a
+        quarter turn swaps them.  Spacings are parent-frame offsets."""
+        box = self.cell.bounding_box()
+        if self.transform.orientation.swaps_axes:
+            return box.height, box.width
+        return box.width, box.height
 
     def element_transform(self, i: int, j: int) -> Transform:
         """The parent-space transform of array element (i, j)."""
@@ -90,13 +120,25 @@ class Instance:
             for i in range(self.nx):
                 yield i, j, self.element_transform(i, j)
 
+    def _inputs(self) -> tuple:
+        """What the placed views derive from.  A cached view holds while
+        these compare equal to the ones it was computed from."""
+        cell = self.cell
+        box = cell.bounding_box()
+        return (cell, box, self.transform, self.nx, self.ny, self.dx, self.dy)
+
     def bounding_box(self) -> Box:
+        inputs = self._inputs()
+        cached = self._box_cache
+        if cached is not None and cached[0] == inputs:
+            return cached[1]
         cell_box = self.cell.bounding_box()
-        first = self.transform.apply_box(cell_box)
-        if not self.is_array:
-            return first
-        last = self.element_transform(self.nx - 1, self.ny - 1).apply_box(cell_box)
-        return first.union(last)
+        box = self.transform.apply_box(cell_box)
+        if self.is_array:
+            last = self.element_transform(self.nx - 1, self.ny - 1)
+            box = box.union(last.apply_box(cell_box))
+        self._box_cache = (inputs, box)
+        return box
 
     # -- movement ---------------------------------------------------------------
 
@@ -131,12 +173,21 @@ class Instance:
 
         For arrays, only connectors on the outside edge of the array
         are visible; interior connectors are inaccessible (they must
-        connect by element abutment).
+        connect by element abutment).  Each call returns a fresh list.
         """
+        # The cell's own list object: replaced, never mutated in place.
+        inputs = (self._inputs(), self.cell._connectors)
+        cached = self._view_cache
+        if cached is None or cached[0] != inputs:
+            cached = self._view_cache = (inputs, *self._place_connectors())
+        return list(cached[1])
+
+    def _place_connectors(self) -> tuple[tuple, dict]:
         instance_box = self.bounding_box()
-        result: list[InstanceConnector] = []
-        for conn in self.cell.connectors:
-            for i, j, transform in self.element_transforms():
+        elements = list(self.element_transforms())
+        placed: list[InstanceConnector] = []
+        for conn in self.cell._connectors:
+            for i, j, transform in elements:
                 position = transform.apply(conn.position)
                 side = _parent_side(position, instance_box)
                 if self.is_array and side == INSIDE:
@@ -144,7 +195,7 @@ class Instance:
                     # arrays" — only the outside edge is visible.
                     continue
                 name = conn.name if not self.is_array else f"{conn.name}[{i},{j}]"
-                result.append(
+                placed.append(
                     InstanceConnector(
                         instance=self,
                         base_name=conn.name,
@@ -156,20 +207,30 @@ class Instance:
                         side=side,
                     )
                 )
-        return result
+        # Visible names first; an array's bare base names then address
+        # element (0,0), unless a visible name already took them.
+        by_name: dict[str, InstanceConnector] = {}
+        for conn in placed:
+            by_name.setdefault(conn.name, conn)
+        if self.is_array:
+            for conn in placed:
+                if conn.element == (0, 0):
+                    by_name.setdefault(conn.base_name, conn)
+        return tuple(placed), by_name
 
     def connector(self, name: str) -> InstanceConnector:
-        """Look up by visible name; bare base names address element (0,0)."""
-        for conn in self.connectors():
-            if conn.name == name:
-                return conn
-        if self.is_array:
-            for conn in self.connectors():
-                if conn.base_name == name and conn.element == (0, 0):
-                    return conn
-        raise KeyError(
-            f"instance {self.name!r} has no visible connector {name!r}"
-        )
+        """Look up by visible name; bare base names address element (0,0).
+
+        Served from the name index built with the connector list, which
+        :meth:`connectors` brings up to date.
+        """
+        self.connectors()
+        found = self._view_cache[2].get(name)
+        if found is None:
+            raise KeyError(
+                f"instance {self.name!r} has no visible connector {name!r}"
+            )
+        return found
 
     def connectors_on_side(self, side: str) -> list[InstanceConnector]:
         return [c for c in self.connectors() if c.side == side]

@@ -24,7 +24,6 @@ from repro.cif.writer import write_cif
 from repro.composition.cell import CompositionCell, LeafCell
 from repro.core.errors import RiotError
 from repro.geometry.layers import Technology
-from repro.geometry.point import Point
 from repro.geometry.transform import Transform
 from repro.sticks.expand import expand_to_cif
 from repro.sticks.model import (
@@ -146,7 +145,7 @@ def _append_transformed(
         out.contacts.append(replace(contact, point=transform.apply(contact.point)))
     for device in source.devices:
         orientation = device.orientation
-        if _swaps_axes(transform):
+        if transform.orientation.swaps_axes:
             orientation = HORIZONTAL if orientation == VERTICAL else VERTICAL
         out.devices.append(
             Device(
@@ -157,9 +156,3 @@ def _append_transformed(
                 device.width,
             )
         )
-
-
-def _swaps_axes(transform: Transform) -> bool:
-    """Does the orientation exchange the x and y axes?"""
-    image = transform.apply_vector(Point(1, 0))
-    return image.x == 0

@@ -395,11 +395,11 @@ class RiotEditor:
         if nx < 1 or ny < 1:
             raise RiotError(f"replication counts must be >= 1, got {nx}x{ny}")
         self.journal.record("replicate", name=name, nx=nx, ny=ny, dx=dx, dy=dy)
-        box = instance.cell.bounding_box()
+        width, height = instance.abutting_spacing()
         instance.nx = nx
         instance.ny = ny
-        instance.dx = dx if dx is not None else box.width
-        instance.dy = dy if dy is not None else box.height
+        instance.dx = dx if dx is not None else width
+        instance.dy = dy if dy is not None else height
         return instance
 
     # -- connection specification --------------------------------------------------------

@@ -90,6 +90,12 @@ class Orientation:
         )
 
     @property
+    def swaps_axes(self) -> bool:
+        """True for the four quarter turns (R90, R270, MXR90, MYR90),
+        which map x onto y and y onto x."""
+        return self.a == 0
+
+    @property
     def is_mirror(self) -> bool:
         """True for the four reflections (determinant -1)."""
         return self.a * self.d - self.b * self.c == -1

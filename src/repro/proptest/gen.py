@@ -471,19 +471,8 @@ def gen_session_case(rng: Rng) -> dict:
                 }
             )
             created += 1
-        elif kind in ("move", "move_by", "rotate", "mirror", "replicate"):
-            op = {"op": kind, "inst": r.randint(0, created - 1)}
-            if kind == "move":
-                op["to"] = [r.randint(-60, 60) * lam, r.randint(-60, 60) * lam]
-            elif kind == "move_by":
-                op["dx"] = r.randint(-20, 20) * lam
-                op["dy"] = r.randint(-20, 20) * lam
-            elif kind == "mirror":
-                op["axis"] = r.choice(("x", "y"))
-            elif kind == "replicate":
-                op["nx"] = r.randint(1, 3)
-                op["ny"] = r.randint(1, 2)
-            ops.append(op)
+        elif kind in PLACEMENT_EDITS:
+            ops.append(_gen_placement_op(r, kind, r.randint(0, created - 1)))
         elif kind == "bus" and created >= 2:
             pair = r.sample(range(created), 2)
             ops.append({"op": "bus", "from": pair[0], "to": pair[1]})
@@ -492,6 +481,44 @@ def gen_session_case(rng: Rng) -> dict:
         elif kind == "finish":
             ops.append({"op": "finish"})
     return {"leaves": leaves, "ops": ops}
+
+
+#: Ops that move, turn or replicate one instance.
+PLACEMENT_EDITS = ("move", "move_by", "rotate", "mirror", "replicate")
+
+
+def _gen_placement_op(r: Rng, kind: str, inst: int) -> dict:
+    lam = 250
+    op = {"op": kind, "inst": inst}
+    if kind == "move":
+        op["to"] = [r.randint(-60, 60) * lam, r.randint(-60, 60) * lam]
+    elif kind == "move_by":
+        op["dx"] = r.randint(-20, 20) * lam
+        op["dy"] = r.randint(-20, 20) * lam
+    elif kind == "mirror":
+        op["axis"] = r.choice(("x", "y"))
+    elif kind == "replicate":
+        op["nx"] = r.randint(1, 3)
+        op["ny"] = r.randint(1, 2)
+    return op
+
+
+def _placement_request(op: dict, name: str):
+    """The typed request for a :data:`PLACEMENT_EDITS` op on ``name``."""
+    from repro.api import types as t
+
+    kind = op.get("op")
+    if kind == "move":
+        return t.MoveRequest(name=name, to=(int(op["to"][0]), int(op["to"][1])))
+    if kind == "move_by":
+        return t.MoveByRequest(name=name, dx=int(op["dx"]), dy=int(op["dy"]))
+    if kind == "rotate":
+        return t.RotateRequest(name=name)
+    if kind == "mirror":
+        return t.MirrorRequest(name=name, axis=str(op.get("axis", "x")))
+    return t.ReplicateRequest(
+        name=name, nx=int(op.get("nx", 1)), ny=int(op.get("ny", 1))
+    )
 
 
 def build_session_library(case: dict) -> CellLibrary:
@@ -544,22 +571,8 @@ def apply_session_ops(editor: RiotEditor, case: dict) -> list[str]:
                 ny=int(op.get("ny", 1)),
                 name=created_name,
             )
-        elif kind == "move" and inst(op):
-            request = t.MoveRequest(
-                name=inst(op), to=(int(op["to"][0]), int(op["to"][1]))
-            )
-        elif kind == "move_by" and inst(op):
-            request = t.MoveByRequest(
-                name=inst(op), dx=int(op["dx"]), dy=int(op["dy"])
-            )
-        elif kind == "rotate" and inst(op):
-            request = t.RotateRequest(name=inst(op))
-        elif kind == "mirror" and inst(op):
-            request = t.MirrorRequest(name=inst(op), axis=str(op.get("axis", "x")))
-        elif kind == "replicate" and inst(op):
-            request = t.ReplicateRequest(
-                name=inst(op), nx=int(op.get("nx", 1)), ny=int(op.get("ny", 1))
-            )
+        elif kind in PLACEMENT_EDITS and inst(op):
+            request = _placement_request(op, inst(op))
         elif kind == "bus" and len(instances) >= 2:
             request = t.BusRequest(
                 from_instance=inst(op, "from"), to_instance=inst(op, "to")
@@ -608,6 +621,165 @@ def describe_editor(editor: RiotEditor) -> dict:
         "cells": cells,
         "pending": editor.pending.display_strings(),
     }
+
+
+# -- composition-model cases ------------------------------------------------------
+
+ORIENTATIONS = ("R0", "R90", "R180", "R270", "MX", "MY", "MXR90", "MYR90")
+#: Unrotated placements are likelier to face each other and connect.
+MODEL_ORIENTATIONS = ("R0",) * 4 + ORIENTATIONS
+
+
+def _gen_model_create(r: Rng, cell: str) -> dict:
+    lam = 250
+    return {
+        "op": "create",
+        "cell": cell,
+        "at": [r.randint(-60, 60) * lam, r.randint(-60, 60) * lam],
+        "orientation": r.choice(MODEL_ORIENTATIONS),
+        "nx": r.randint(1, 3) if r.chance(0.3) else 1,
+        "ny": r.randint(1, 2) if r.chance(0.3) else 1,
+    }
+
+
+def _gen_model_ops(r: Rng, leaves: list[str], cells: tuple[str, ...]) -> list[dict]:
+    """One random edit to whichever cell is open when it runs; a bus
+    specification comes with the connection command that uses it."""
+    kind = r.choice(
+        (
+            "create", "create", "move", "move_by", "rotate", "mirror",
+            "replicate", "bus", "bus", "bus", "do_abut", "recreate", "edit",
+            "finish", "replace",
+        )
+    )
+    if kind in ("create", "recreate"):
+        op = _gen_model_create(r, r.choice(leaves + ["blk"]))
+        if kind == "recreate":
+            op.update(op="recreate", inst=r.randint(0, 7))
+        return [op]
+    if kind == "bus":
+        return [
+            {"op": "bus", "from": r.randint(0, 7), "to": r.randint(0, 7)},
+            {"op": r.choice(("do_abut", "do_route", "do_stretch"))},
+        ]
+    if kind == "edit":
+        return [{"op": "edit", "name": r.choice(cells)}]
+    if kind == "replace":
+        return [
+            {
+                "op": "replace",
+                "leaf": r.randint(0, len(leaves) - 1),
+                "cell": gen_sticks_case(
+                    r.fork("leaf"), name="new", pin_side=r.choice(tuple(_FACING))
+                ),
+            }
+        ]
+    if kind in PLACEMENT_EDITS:
+        return [_gen_placement_op(r, kind, r.randint(0, 7))]
+    return [{"op": kind}]
+
+
+def gen_model_case(rng: Rng) -> dict:
+    """Leaf cells, a composition ``blk`` and a composition ``top`` that
+    instantiates leaves and ``blk``, then a tape of edits that reopens
+    either cell, connects, stretches, fails and rolls back, and swaps
+    leaf definitions under both — the inputs the composition model's
+    cached views derive from, changed every way the editor changes them.
+    """
+    # The first two leaves have pins on facing sides, so some bus
+    # specifications find pairs to connect.
+    first = rng.fork("side").choice(tuple(_FACING))
+    sides = [first, _FACING[first], rng.fork("side2").choice(tuple(_FACING))]
+    leaves = [
+        gen_sticks_case(rng.fork(f"leaf{i}"), name=f"leaf{i}", pin_side=sides[i])
+        for i in range(rng.randint(2, 3))
+    ]
+    names = [leaf["name"] for leaf in leaves]
+    ops: list[dict] = [{"op": "new_cell", "name": "blk"}]
+    for i in range(rng.randint(1, 3)):
+        r = rng.fork(f"blk{i}")
+        ops.append(_gen_model_create(r, r.choice(names)))
+    ops.append({"op": "finish"})
+    ops.append({"op": "new_cell", "name": "top"})
+    ops.append(_gen_model_create(rng.fork("top-blk"), "blk"))
+    for i in range(rng.randint(1, 3)):
+        r = rng.fork(f"top{i}")
+        ops.append(_gen_model_create(r, r.choice(names)))
+    for step in range(rng.randint(6, 20)):
+        ops.extend(_gen_model_ops(rng.fork(step), names, ("blk", "top")))
+    return {"leaves": leaves, "ops": ops}
+
+
+def apply_model_op(session, op: dict) -> None:
+    """Run one op of a :func:`gen_model_case` tape against the open cell.
+
+    Instance indices address the open cell's instances modulo their
+    count; a bus's ``to`` indexes the instances other than its ``from``.
+    Command failures are tolerated: the editor rolls them back.
+    ``replace`` swaps a leaf definition through the library, as
+    re-reading a changed leaf file does.
+    """
+    from repro.api import types as t
+
+    editor = session.editor
+    kind = op.get("op")
+    if kind == "replace":
+        leaves = [cell for cell in editor.library.cells if cell.is_leaf]
+        if not leaves:
+            return
+        name = leaves[int(op["leaf"]) % len(leaves)].name
+        try:
+            sticks = build_sticks_cell(dict(op["cell"], name=name))
+        except CaseInvalid:
+            return
+        editor.library.replace(name, LeafCell.from_sticks(sticks, editor.technology))
+        return
+
+    instances = editor.cell.instances if editor.cell is not None else []
+
+    def inst(key: str = "inst") -> str:
+        return instances[int(op[key]) % len(instances)].name
+
+    request = None
+    if kind == "new_cell":
+        request = t.NewCellRequest(name=str(op["name"]))
+    elif kind == "edit":
+        request = t.EditRequest(name=str(op["name"]))
+    elif kind == "finish":
+        request = t.FinishRequest()
+    elif kind == "do_abut":
+        request = t.AbutRequest()
+    elif kind == "do_route":
+        request = t.RouteRequest()
+    elif kind == "do_stretch":
+        request = t.StretchRequest()
+    elif kind in ("create", "recreate"):
+        request = t.CreateRequest(
+            at=(int(op["at"][0]), int(op["at"][1])),
+            cell_name=str(op["cell"]),
+            orientation=str(op.get("orientation", "R0")),
+            nx=int(op.get("nx", 1)),
+            ny=int(op.get("ny", 1)),
+            # A name already taken: the instance is built and placed,
+            # then refused, and the command rolls back.
+            name=inst() if kind == "recreate" and instances else None,
+        )
+    elif not instances:
+        return
+    elif kind in PLACEMENT_EDITS:
+        request = _placement_request(op, inst())
+    elif kind == "bus" and len(instances) > 1:
+        source = inst("from")
+        others = [other.name for other in instances if other.name != source]
+        request = t.BusRequest(
+            from_instance=source, to_instance=others[int(op["to"]) % len(others)]
+        )
+    if request is None:
+        return
+    try:
+        session.dispatch(request)
+    except Exception:
+        pass  # transactional: the editor rolled it back
 
 
 # -- pipeline cases ---------------------------------------------------------------

@@ -29,6 +29,10 @@ The oracle names map onto the paper's correctness claims:
 ``pipeline``
     content-addressed cached verification equals fresh verification,
     before and after random cell edits.
+``model``
+    the composition model's cached views — every bounding box, every
+    instance's connector list and each connector looked up by name —
+    equal a cache-free recompute after every edit of a random tape.
 """
 
 from __future__ import annotations
@@ -38,8 +42,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.composition.cell import CompositionError
+from repro.composition.connector import INSIDE, classify_side
+from repro.composition.instance import InstanceConnector
 from repro.core.errors import RiotError
 from repro.core.river import RiverRoute, route_channel
+from repro.geometry.box import union_all
 from repro.geometry.layers import nmos_technology
 from repro.proptest import gen
 from repro.proptest.gen import CaseInvalid
@@ -443,6 +450,116 @@ def check_floorplan(case: dict) -> str | None:
     return None
 
 
+# -- model -----------------------------------------------------------------
+#
+# The reference below computes the composition model from scratch,
+# caching nothing; the oracle holds the cached views to it after every
+# op.
+
+
+def _fresh_cell_box(cell):
+    if cell.is_leaf:
+        return cell.bounding_box()
+    return union_all(_fresh_instance_box(inst) for inst in cell.instances)
+
+
+def _fresh_instance_box(inst):
+    cell_box = _fresh_cell_box(inst.cell)
+    box = inst.transform.apply_box(cell_box)
+    if inst.is_array:
+        last = inst.element_transform(inst.nx - 1, inst.ny - 1)
+        box = box.union(last.apply_box(cell_box))
+    return box
+
+
+def _fresh_connectors(inst) -> list:
+    box = _fresh_instance_box(inst)
+    result = []
+    for conn in inst.cell.connectors:
+        for i, j, transform in inst.element_transforms():
+            position = transform.apply(conn.position)
+            side = (
+                classify_side(position, box)
+                if box.contains_point(position)
+                else INSIDE
+            )
+            if inst.is_array and side == INSIDE:
+                continue
+            result.append(
+                InstanceConnector(
+                    instance=inst,
+                    base_name=conn.name,
+                    element=(i, j),
+                    name=f"{conn.name}[{i},{j}]" if inst.is_array else conn.name,
+                    position=position,
+                    layer=conn.layer,
+                    width=conn.width,
+                    side=side,
+                )
+            )
+    return result
+
+
+def _fresh_connector(fresh: list, name: str):
+    for conn in fresh:
+        if conn.name == name:
+            return conn
+    for conn in fresh:
+        if conn.base_name == name and conn.element == (0, 0):
+            return conn
+    return None
+
+
+def _model_drift(library) -> str | None:
+    """The first cached view that differs from its fresh recompute."""
+    for cell in library.cells:
+        if cell.is_leaf or not cell.instances:
+            continue
+        if cell.bounding_box() != _fresh_cell_box(cell):
+            return (
+                f"cell {cell.name}: bounding box {cell.bounding_box()} != "
+                f"fresh {_fresh_cell_box(cell)}"
+            )
+        for inst in cell.instances:
+            where = f"{cell.name}.{inst.name}"
+            if inst.bounding_box() != _fresh_instance_box(inst):
+                return (
+                    f"{where}: bounding box {inst.bounding_box()} != "
+                    f"fresh {_fresh_instance_box(inst)}"
+                )
+            fresh = _fresh_connectors(inst)
+            if inst.connectors() != fresh:
+                return f"{where}: connectors {inst.connectors()} != fresh {fresh}"
+            names = [conn.name for conn in fresh]
+            names += [conn.name for conn in inst.cell.connectors]
+            for name in names:
+                try:
+                    cached = inst.connector(name)
+                except KeyError:
+                    cached = None
+                if cached != _fresh_connector(fresh, name):
+                    return (
+                        f"{where}: connector({name!r}) {cached} != fresh "
+                        f"{_fresh_connector(fresh, name)}"
+                    )
+    return None
+
+
+def check_model(case: dict) -> str | None:
+    from repro.api.session import Session
+    from repro.core.editor import RiotEditor
+
+    editor = RiotEditor(nmos_technology())
+    editor.library = gen.build_session_library(case)
+    session = Session(editor=editor)
+    for step, op in enumerate(case.get("ops", [])):
+        gen.apply_model_op(session, op)
+        drift = _model_drift(editor.library)
+        if drift is not None:
+            raise OracleFailure(f"after op {step} ({op.get('op')}): {drift}")
+    return None
+
+
 # -- registry --------------------------------------------------------------
 
 ORACLES: dict[str, Oracle] = {
@@ -494,6 +611,15 @@ ORACLES: dict[str, Oracle] = {
             generate=gen_floorplan,
             check=check_floorplan,
             cost=16,
+        ),
+        Oracle(
+            name="model",
+            claim=(
+                "cached bounding boxes and connector views equal a fresh "
+                "recompute after every edit, rollback and leaf replacement"
+            ),
+            generate=gen.gen_model_case,
+            check=check_model,
         ),
         Oracle(
             name="pipeline",

@@ -5,7 +5,7 @@ import pytest
 from repro.composition.connector import BOTTOM, INSIDE, LEFT, RIGHT, TOP
 from repro.composition.instance import Instance, instances_bounding_box
 from repro.geometry.box import Box
-from repro.geometry.orientation import MX, R90
+from repro.geometry.orientation import ALL_ORIENTATIONS, MX, R90
 from repro.geometry.point import Point
 from repro.geometry.transform import Transform
 
@@ -144,6 +144,28 @@ class TestArrays:
         names = {c.name for c in inst.connectors()}
         assert "OUT[0,0]" not in names
         assert "IN[1,0]" not in names
+
+    @pytest.mark.parametrize("orientation", ALL_ORIENTATIONS, ids=lambda o: o.name)
+    def test_default_spacing_tiles_in_every_orientation(self, leaf, orientation):
+        inst = Instance("a", leaf, Transform(orientation, Point(0, 0)), nx=3, ny=2)
+        cell_box = leaf.bounding_box()
+        elements = [t.apply_box(cell_box) for _, _, t in inst.element_transforms()]
+        for k, a in enumerate(elements):
+            for b in elements[k + 1 :]:
+                assert not a.overlaps(b), f"{a} overlaps {b}"
+        # No overlap and no gap: the elements exactly fill the array box.
+        assert sum(box.area for box in elements) == inst.bounding_box().area
+
+    def test_replicate_spaces_quarter_turns_by_oriented_box(self, tech):
+        from repro.core.editor import RiotEditor
+
+        editor = RiotEditor(tech)
+        editor.library.add(make_cif_leaf(tech=tech))  # 2000x1000
+        editor.new_cell("top")
+        editor.create(Point(0, 0), "leaf", orientation="R90", name="a")
+        inst = editor.replicate("a", 3, 2)
+        assert (inst.dx, inst.dy) == (1000, 2000)
+        assert inst.bounding_box() == Box(0, 0, 3000, 4000)
 
     def test_mirrored_array_edges(self, leaf):
         inst = Instance("a", leaf, Transform(MX, Point(0, 0)), nx=2, dx=2000)

@@ -19,6 +19,7 @@ def test_registry_names_and_claims():
     assert sorted(ORACLES) == [
         "abut",
         "floorplan",
+        "model",
         "pipeline",
         "river",
         "stretch",
@@ -134,3 +135,26 @@ def test_wal_oracle_fails_on_dropped_entries(monkeypatch):
             tripped = True
             break
     assert tripped, "no session with a move_by diverged under a leaky journal"
+
+
+def test_model_oracle_fails_on_stale_key(monkeypatch):
+    from repro.composition.instance import Instance
+
+    inputs = Instance._inputs
+
+    def stale_inputs(self):
+        # Leave a composition cell's current box out of its instances'
+        # key: editing ``blk`` then leaves ``top``'s view of it stale.
+        cell, box, *placement = inputs(self)
+        return (cell, box if cell.is_leaf else None, *placement)
+
+    monkeypatch.setattr(Instance, "_inputs", stale_inputs)
+    stream = Rng(0).fork("model")
+    for index in range(30):
+        case = ORACLES["model"].generate(stream.fork(index))
+        try:
+            ORACLES["model"].check(case)
+        except OracleFailure as exc:
+            assert "bounding box" in str(exc)
+            return
+    pytest.fail("no tape exposed a stale composition-cell box")

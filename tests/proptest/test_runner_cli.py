@@ -123,7 +123,7 @@ def test_cli_byte_identical_and_exit_zero():
     summary = json.loads(first.stdout)
     assert summary["ok"] is True
     assert sorted(summary["oracles"]) == [
-        "abut", "floorplan", "pipeline", "river", "stretch", "wal",
+        "abut", "floorplan", "model", "pipeline", "river", "stretch", "wal",
     ]
 
 
