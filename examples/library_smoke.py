@@ -13,7 +13,12 @@ The scenario CI runs:
    the publish returns the invalidation cascade's impact report, and
    we assert it names exactly who survives and who breaks — and on
    which command, with which structured error code;
-4. a publisher subprocess is SIGKILLed mid-stream (the abnormally
+4. in a second store, one of three dependents loses its journal blob;
+   a compatible ``nand@2`` still publishes, the cascade reports that
+   dependent broken at ``<journal>`` with ``library.corrupt`` and the
+   others surviving, and ``python -m repro cellstore fsck`` names the
+   missing blob;
+5. a publisher subprocess is SIGKILLed mid-stream (the abnormally
    terminated session), and ``python -m repro cellstore fsck --repair``
    brings the store back to a state a fresh session can publish to.
 
@@ -53,6 +58,16 @@ def check(condition: bool, what: str) -> None:
         print(f"FAIL: {what}")
         sys.exit(1)
     print(f"ok: {what}")
+
+
+def repro_env() -> dict:
+    """This process's environment with ``src/`` on the path, for
+    ``python -m repro`` subprocesses."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 def publish_and_consume(store: CellStore) -> None:
@@ -121,6 +136,55 @@ def breaking_cascade(store: CellStore) -> None:
     )
 
 
+def lost_journal_cascade(store_dir: Path) -> None:
+    """One of three dependents lost its journal blob: a compatible
+    publish still lands, the cascade reports that dependent alone as
+    broken, and fsck names the missing blob."""
+    store = CellStore(store_dir)
+    session_for(store).dispatch(t.LibraryPublishRequest(name="nand"))
+    names = ("dep000", "dep001", "dep002")
+    for name in names:
+        seat = session_for(store)
+        seat.dispatch(t.LibraryGetRequest(ref="nand@1"))
+        seat.dispatch(t.NewCellRequest(name=name))
+        seat.dispatch(t.CreateRequest(at=(0, 20000), cell_name="nand", name="n0"))
+        seat.dispatch(t.CreateRequest(at=(8000, 20000), cell_name="nand", name="n1"))
+        seat.dispatch(t.LibraryPublishRequest(name=name))
+    journal = store.resolve("dep001@1").journal
+    (store_dir / "blobs" / journal[:2] / journal[2:]).unlink()
+    print(f"deleted dep001's journal blob {journal[:12]}")
+
+    result = session_for(store).dispatch(
+        t.LibraryPublishRequest(name="nand", expected_version=1)
+    )
+    check(result.version == 2, "compatible nand@2 published despite the lost journal")
+    by_name = {e.composition: e for e in result.impact}
+    check(set(by_name) == set(names), "cascade reported all three dependents")
+    lost = by_name["dep001"]
+    check(
+        not lost.survived
+        and [(f.command, f.code) for f in lost.failures]
+        == [("<journal>", "library.corrupt")],
+        "dep001 broken at <journal> with code library.corrupt",
+    )
+    check(
+        by_name["dep000"].survived and by_name["dep002"].survived,
+        "dep000 and dep002 survive",
+    )
+
+    report = subprocess.run(
+        [sys.executable, "-m", "repro", "cellstore", "fsck", str(store_dir)],
+        capture_output=True,
+        text=True,
+        env=repro_env(),
+    )
+    print(report.stdout.strip())
+    check(
+        report.returncode == 1 and journal[:12] in report.stdout,
+        "cellstore fsck names the missing journal blob",
+    )
+
+
 #: Child process for the crash test: publish until SIGKILLed.
 PUBLISHER = """
 import sys
@@ -156,15 +220,11 @@ def crash_and_fsck(store_dir: Path) -> None:
         proc.wait(timeout=10)
     print("publisher SIGKILLed mid-stream")
 
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p
-    )
     repair = subprocess.run(
         [sys.executable, "-m", "repro", "cellstore", "fsck", str(store_dir), "--repair"],
         capture_output=True,
         text=True,
-        env=env,
+        env=repro_env(),
     )
     print(repair.stdout.strip())
     check(repair.returncode == 0, "cellstore fsck --repair converges")
@@ -190,6 +250,7 @@ def main() -> int:
         store = CellStore(store_dir)
         publish_and_consume(store)
         breaking_cascade(store)
+        lost_journal_cascade(Path(tmp) / "journal-lib")
         crash_and_fsck(Path(tmp) / "crash-lib")
     print("library smoke test passed")
     return 0

@@ -10,28 +10,19 @@ pinned library the composition was published with, with only the
 changed cell substituted — and the publisher gets back a structured
 impact report: which dependents survive the new version, which break,
 and on which command with which stable error code.
-
-This module deliberately re-implements the replay loop instead of
-calling :meth:`Journal.replay`: recovery's ``SkippedEntry`` carries a
-prose message, but impact consumers branch on error *codes*
-(``rest.infeasible``, ``args.key``, ...), so each failure here is run
-through :func:`repro.errors.error_code`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cellstore.errors import MissingDep
+from repro.cellstore.errors import Corrupt, MissingDep
 from repro.cellstore.refs import parse_ref
 from repro.cellstore.store import CellRecord, CellStore
-from repro.cif.parser import parse_cif
-from repro.cif.semantics import elaborate
-from repro.composition.cell import LeafCell
+from repro.core.errors import JournalError
 from repro.core.replay import Journal
 from repro.errors import error_code
 from repro.obs import metrics, trace
-from repro.sticks.parser import parse_sticks
 
 
 @dataclass(frozen=True)
@@ -91,20 +82,11 @@ def overlay_payload(library, kind: str, payload: str) -> list[str]:
     """Materialise a stored payload into a session's cell library,
     replacing same-named cells (rebinding their instances) rather than
     colliding with them.  Returns the names it defined."""
-    if kind == "sticks":
-        cells = [
-            LeafCell.from_sticks(sc, library.technology)
-            for sc in parse_sticks(payload)
-        ]
-    elif kind == "cif":
-        design = elaborate(parse_cif(payload), library.technology)
-        cells = [LeafCell.from_cif(c) for c in design.cells]
-    elif kind == "composition":
+    if kind == "composition":
         from repro.composition.format import load_composition
 
         return [c.name for c in load_composition(payload, library, replace=True)]
-    else:
-        raise ValueError(f"unknown payload kind {kind!r}")
+    cells = library.leaves(kind, payload)
     for cell in cells:
         _replace_or_add(library, cell)
     return [cell.name for cell in cells]
@@ -154,41 +136,15 @@ def load_closure(
     return loaded
 
 
-def replay_with_codes(journal_text: str, editor) -> tuple[int, list[ImpactFailure]]:
-    """Replay a journal into ``editor``, pressing on past failures and
-    capturing each one's stable error code.  Returns (executed,
-    failures)."""
-    from repro.api.codec import from_jsonable
-    from repro.api.registry import spec_for
-    from repro.api.session import Session
-
-    journal = Journal.from_text(journal_text)
-    session = Session(editor=editor)
-    failures: list[ImpactFailure] = []
-    executed = 0
-    previous = editor.journal.recording
-    editor.journal.recording = False
-    try:
-        for entry in journal.entries:
-            try:
-                spec = spec_for(entry.command)
-                request = from_jsonable(
-                    spec.request, entry.kwargs, where=entry.command
-                )
-                session.dispatch(request)
-            except Exception as exc:
-                failures.append(
-                    ImpactFailure(
-                        command=entry.command,
-                        code=error_code(exc),
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-                continue
-            executed += 1
-    finally:
-        editor.journal.recording = previous
-    return executed, failures
+def replay_with_codes(journal: Journal, editor) -> tuple[int, list[ImpactFailure]]:
+    """Replay a parsed journal into ``editor``, pressing on past
+    failures (:meth:`Journal.replay` in skip mode).  Returns (executed,
+    failures), each failure with its stable error code."""
+    report = journal.replay(editor, mode="skip")
+    return report.executed, [
+        ImpactFailure(command=s.command, code=s.code, error=s.error)
+        for s in report.skipped
+    ]
 
 
 def fresh_editor(technology=None):
@@ -259,13 +215,19 @@ def _assess_one(
             failures=(ImpactFailure(command=command, code=code, error=error),),
         )
 
-    journal_text = store.journal_payload(comp)
-    if journal_text is None:
-        return _failed(
-            "<journal>",
-            MissingDep.code,
-            f"{comp.ref} has no replay journal recorded",
-        )
+    try:
+        journal_text = store.journal_payload(comp)
+        if journal_text is None:
+            return _failed(
+                "<journal>",
+                MissingDep.code,
+                f"{comp.ref} has no replay journal recorded",
+            )
+        journal = Journal.from_text(journal_text)
+    except (Corrupt, JournalError) as exc:
+        # A missing or damaged blob: the new version has already
+        # landed, so this is one dependent's failure, not the cascade's.
+        return _failed("<journal>", error_code(exc), f"{type(exc).__name__}: {exc}")
     editor = fresh_editor(technology)
     try:
         # The composition's pinned deps, minus the changed cell — whose
@@ -279,8 +241,7 @@ def _assess_one(
         overlay_payload(editor.library, candidate_kind, candidate_payload)
     except Exception as exc:
         return _failed("<setup>", error_code(exc), f"{type(exc).__name__}: {exc}")
-    journal = Journal.from_text(journal_text)
-    executed, failures = replay_with_codes(journal_text, editor)
+    executed, failures = replay_with_codes(journal, editor)
     return ImpactEntry(
         composition=comp.name,
         dependency=dependency,

@@ -102,6 +102,22 @@ class LeafCell:
             source_file=source_file,
         )
 
+    def shell(self, source_file: str | None = None) -> "LeafCell":
+        """A new leaf over this one's backing cell, box and connector
+        list, with its own ``name`` and ``source_file``.  A library
+        writes only a leaf's ``name``, so one parse can back the leaves
+        of any number of libraries."""
+        leaf = object.__new__(LeafCell)
+        # Every attribute ``__init__`` sets, in its order: that keeps
+        # the compact attribute layout a ``__dict__`` copy would lose.
+        leaf.name = self.name
+        leaf._bounding_box = self._bounding_box
+        leaf._connectors = self._connectors
+        leaf.cif_cell = self.cif_cell
+        leaf.sticks_cell = self.sticks_cell
+        leaf.source_file = source_file
+        return leaf
+
     # -- the Cell interface --------------------------------------------------
 
     @property

@@ -9,11 +9,87 @@ the river router are appended here like any other cell.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+
 from repro.cif.parser import parse_cif
 from repro.cif.semantics import elaborate
 from repro.composition.cell import Cell, CompositionError, LeafCell
 from repro.geometry.layers import Technology
 from repro.sticks.parser import parse_sticks
+
+#: How many distinct leaf texts :data:`LEAF_PARSES` keeps.  The stock
+#: library is three texts per technology; the rest are texts sessions
+#: read and cell-store payloads they overlay.
+LEAF_PARSE_LIMIT = 64
+
+
+def _parse_leaves(kind: str, technology: Technology, text: str) -> tuple[LeafCell, ...]:
+    if kind == "cif":
+        design = elaborate(parse_cif(text), technology)
+        return tuple(LeafCell.from_cif(cif_cell) for cif_cell in design.cells)
+    if kind == "sticks":
+        return tuple(
+            LeafCell.from_sticks(sticks_cell, technology)
+            for sticks_cell in parse_sticks(text)
+        )
+    raise ValueError(f"unknown leaf kind {kind!r}")
+
+
+class LeafParses:
+    """Parsed leaf cells by ``(kind, technology, text)``, so a process
+    reads each leaf text once however many libraries load it.
+
+    The parsed cells are prototypes and never leave: callers get a
+    :meth:`LeafCell.shell` of each.  The least recently used text is
+    dropped past ``limit``.  Sessions build libraries on their own
+    threads, so every access holds the lock; parsing does not, and two
+    threads missing on one text both parse it and keep either result.
+    """
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self._lock = threading.Lock()
+        self._parsed: OrderedDict[tuple, tuple[LeafCell, ...]] = OrderedDict()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._parsed)
+
+    def leaves(
+        self,
+        kind: str,
+        technology: Technology,
+        text: str,
+        source_file: str | None = None,
+    ) -> list[LeafCell]:
+        """New leaf cells for ``kind`` (``"cif"`` or ``"sticks"``)
+        text, each a shell over the one parse of it."""
+        return [
+            prototype.shell(source_file)
+            for prototype in self._prototypes(kind, technology, text)
+        ]
+
+    def _prototypes(
+        self, kind: str, technology: Technology, text: str
+    ) -> tuple[LeafCell, ...]:
+        key = (kind, technology, text)
+        with self._lock:
+            cells = self._parsed.get(key)
+            if cells is not None:
+                self._parsed.move_to_end(key)
+                return cells
+        cells = _parse_leaves(kind, technology, text)
+        with self._lock:
+            self._parsed[key] = cells
+            self._parsed.move_to_end(key)
+            while len(self._parsed) > self.limit:
+                self._parsed.popitem(last=False)
+        return cells
+
+
+#: The process's leaf parses, shared by every library.
+LEAF_PARSES = LeafParses(LEAF_PARSE_LIMIT)
 
 
 class CellLibrary:
@@ -113,21 +189,17 @@ class CellLibrary:
 
     # -- bulk loading --------------------------------------------------------
 
+    def leaves(
+        self, kind: str, text: str, source_file: str | None = None
+    ) -> list[LeafCell]:
+        """New leaf cells for ``kind`` (``"cif"`` or ``"sticks"``) text
+        in this library's technology, not yet registered."""
+        return LEAF_PARSES.leaves(kind, self.technology, text, source_file)
+
     def load_cif(self, text: str, source_file: str | None = None) -> list[LeafCell]:
         """Elaborate CIF text and register every symbol as a leaf cell."""
-        design = elaborate(parse_cif(text), self.technology)
-        added = []
-        for cif_cell in design.cells:
-            leaf = LeafCell.from_cif(cif_cell, source_file=source_file)
-            added.append(self.add(leaf))
-        return added
+        return [self.add(leaf) for leaf in self.leaves("cif", text, source_file)]
 
     def load_sticks(self, text: str, source_file: str | None = None) -> list[LeafCell]:
         """Parse Sticks text and register every cell as a leaf cell."""
-        added = []
-        for sticks_cell in parse_sticks(text):
-            leaf = LeafCell.from_sticks(
-                sticks_cell, self.technology, source_file=source_file
-            )
-            added.append(self.add(leaf))
-        return added
+        return [self.add(leaf) for leaf in self.leaves("sticks", text, source_file)]

@@ -32,6 +32,7 @@ import zlib
 from dataclasses import dataclass, field
 
 from repro.core.errors import JournalError, ReplayError
+from repro.errors import error_code
 
 #: Editor methods a journal line may invoke.  An allowlist, so a
 #: hand-edited replay file cannot call arbitrary attributes.
@@ -121,13 +122,16 @@ class CorruptionPoint:
 class SkippedEntry:
     """One journal entry that could not be (re-)executed.
 
-    ``index`` is the entry's position in the journal for replay-time
-    skips; parse-time rejections (non-allowlisted command) carry the
-    file ``lineno`` instead and ``index`` is ``None``.
+    ``code`` is the failure's stable error code
+    (:func:`repro.errors.error_code`).  ``index`` is the entry's
+    position in the journal for replay-time skips; parse-time
+    rejections (non-allowlisted command) carry the file ``lineno``
+    instead and ``index`` is ``None``.
     """
 
     command: str
     error: str
+    code: str
     index: int | None = None
     lineno: int | None = None
 
@@ -301,6 +305,7 @@ class Journal:
                         SkippedEntry(
                             command=entry.command,
                             error=f"{type(exc).__name__}: {exc}",
+                            code=error_code(exc),
                             index=index,
                         )
                     )

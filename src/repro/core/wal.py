@@ -25,6 +25,7 @@ import tempfile
 import time
 from pathlib import Path
 
+from repro.core.errors import JournalError
 from repro.core.replay import (
     JOURNAL_HEADER,
     REPLAYABLE,
@@ -200,6 +201,7 @@ def load_text(text: str, allowlist: frozenset = REPLAYABLE) -> Journal:
                 SkippedEntry(
                     command=command,
                     error="not a replayable command",
+                    code=JournalError.code,
                     lineno=lineno,
                 )
             )

@@ -76,6 +76,9 @@ class Technology:
         missing = set(self._layers) - set(self._min_width)
         if missing:
             raise ValueError(f"layers missing width rules: {sorted(missing)}")
+        # A technology never changes after construction, and every leaf
+        # parse lookup hashes and compares one, so its value is kept.
+        self._key = self._rule_key()
 
     # -- identity --------------------------------------------------------
 
@@ -102,10 +105,10 @@ class Technology:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Technology):
             return NotImplemented
-        return self._rule_key() == other._rule_key()
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._rule_key())
+        return hash(self._key)
 
     def __repr__(self) -> str:
         return (

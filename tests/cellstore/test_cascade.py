@@ -26,16 +26,16 @@ def publish_nand(session) -> None:
     assert (result.name, result.version, result.kind) == ("nand", 1, "sticks")
 
 
-def publish_ok_pair(session) -> None:
+def publish_ok_pair(session, name: str = "ok_pair") -> None:
     """A dependent that only instantiates nand — survives any version
     that still parses."""
     session.dispatch(t.LibraryGetRequest(ref="nand@1"))
-    session.dispatch(t.NewCellRequest(name="ok_pair"))
+    session.dispatch(t.NewCellRequest(name=name))
     session.dispatch(t.CreateRequest(at=(0, 20000), cell_name="nand", name="n0"))
     session.dispatch(
         t.CreateRequest(at=(8000, 20000), cell_name="nand", name="n1")
     )
-    result = session.dispatch(t.LibraryPublishRequest(name="ok_pair"))
+    result = session.dispatch(t.LibraryPublishRequest(name=name))
     assert result.deps == ("nand@1",)
 
 
@@ -145,6 +145,56 @@ class TestImpact:
         opaque = by_name["opaque"]
         assert not opaque.survived
         assert opaque.failures[0].code == MissingDep("x").code
+
+
+class TestUnreadableJournal:
+    """A dependent whose journal cannot be read is that dependent's
+    failure: the publish has already landed, so the cascade reports it
+    and goes on to the other dependents."""
+
+    def test_missing_journal_blob_breaks_only_its_dependent(
+        self, store, session_for
+    ):
+        publish_nand(session_for())
+        for name in ("dep000", "dep001", "dep002"):
+            publish_ok_pair(session_for(), name)
+        journal = store.resolve("dep001@1").journal
+        (store.root / "blobs" / journal[:2] / journal[2:]).unlink()
+
+        result = session_for().dispatch(
+            t.LibraryPublishRequest(name="nand", expected_version=1)
+        )
+        assert result.version == 2
+        assert store.resolve("nand").version == 2
+        by_name = {e.composition: e for e in result.impact}
+        assert set(by_name) == {"dep000", "dep001", "dep002"}
+        broken = by_name.pop("dep001")
+        assert not broken.survived
+        assert [(f.command, f.code) for f in broken.failures] == [
+            ("<journal>", "library.corrupt")
+        ]
+        assert all(e.survived for e in by_name.values())
+
+    def test_unparseable_journal_breaks_only_its_dependent(self, populated):
+        comp = "a A b\n"
+        populated.publish(
+            "garbled",
+            "composition",
+            comp,
+            content_hash=text_digest(comp),
+            deps=("nand@1",),
+            journal_payload="not a journal line\n",
+        )
+        v1 = populated.payload(populated.resolve("nand@1"))
+        by_name = {
+            e.composition: e for e in assess_impact(populated, "nand", v1, "sticks")
+        }
+        garbled = by_name.pop("garbled")
+        assert [(f.command, f.code) for f in garbled.failures] == [
+            ("<journal>", "riot.journal")
+        ]
+        assert set(by_name) == {"ok_pair", "breaker"}
+        assert all(e.survived for e in by_name.values())
 
 
 class TestImpactOverTypedApi:

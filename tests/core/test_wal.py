@@ -180,6 +180,7 @@ class TestSalvage:
         assert len(journal.rejected) == 1
         assert journal.rejected[0].command == "__init__"
         assert journal.rejected[0].lineno == 2
+        assert journal.rejected[0].code == "riot.journal"
 
     def test_strict_parser_still_raises(self):
         line = JournalEntry("new_cell", {"name": "top"}).to_line()
@@ -209,6 +210,7 @@ class TestRecoveryReport:
         assert len(report.skipped) == 1
         assert report.skipped[0].index == 4
         assert report.skipped[0].command == "connect"
+        assert report.skipped[0].code == "args.key"
         # The session survived: d.A-r.A still connects at ABUT time.
         broken.edit("top")
         assert broken.check().made_count >= 1
