@@ -212,21 +212,27 @@ def main(argv: list[str] | None = None) -> int:
     from repro.cli import obs_from_flags
 
     failures = 0
-    with obs_from_flags(args.trace, args.metrics) as tracer:
-        if tracer is not None:
-            interface.tracer = tracer
-        if args.script:
-            with open(args.script) as f:
-                failures = run(f, interface)
-        else:
-            if sys.stdin.isatty():
-                print(
-                    "riot-repro textual interface; "
-                    "'help' lists commands, 'quit' leaves."
-                )
-            # Interactive/pipe mode keeps exit code 0: errors were
-            # already reported inline, the way a REPL does.
-            run(sys.stdin, interface)
+    try:
+        with obs_from_flags(args.trace, args.metrics) as tracer:
+            if tracer is not None:
+                interface.tracer = tracer
+            if args.script:
+                with open(args.script) as f:
+                    failures = run(f, interface)
+            else:
+                if sys.stdin.isatty():
+                    print(
+                        "riot-repro textual interface; "
+                        "'help' lists commands, 'quit' leaves."
+                    )
+                # Interactive/pipe mode keeps exit code 0: errors were
+                # already reported inline, the way a REPL does.
+                run(sys.stdin, interface)
+    finally:
+        # The session's journal, from --journal or a 'journal' command.
+        writer = interface.editor.journal.writer
+        if writer is not None:
+            writer.close()
     return 1 if failures else 0
 
 

@@ -13,7 +13,8 @@ machine-readable error codes, so the same entry points serve:
 
 Modules:
 
-* :mod:`repro.api.codec` — strict dataclass <-> JSON conversion;
+* :mod:`repro.api.codec` — strict dataclass <-> JSON conversion, one
+  compiled shape per wire type;
 * :mod:`repro.api.types` — the request/result dataclasses;
 * :mod:`repro.api.registry` — name -> (request, result, handler) table;
 * :mod:`repro.api.session` — one editor + store + defaults, and
@@ -23,7 +24,7 @@ Modules:
 """
 
 from repro.api.errors import ApiError, BadRequest, UnknownCommand, VersionError
-from repro.api.registry import REGISTRY, CommandSpec, replayable_commands
+from repro.api.registry import REGISTRY, CommandSpec
 from repro.api.session import Session
 
 __all__ = [
@@ -33,6 +34,5 @@ __all__ = [
     "VersionError",
     "REGISTRY",
     "CommandSpec",
-    "replayable_commands",
     "Session",
 ]

@@ -12,10 +12,32 @@ enforces:
   fields later and *know* old servers refuse them instead of silently
   dropping semantics.
 
-Supported field types: ``int``, ``float``, ``str``, ``bool``,
-``None``, optionals/unions of those, fixed and variadic tuples, and
-nested (frozen) dataclasses.  That is the whole wire vocabulary —
-anything richer belongs in an explicit dataclass.
+Each wire dataclass compiles once, on first use, into a :class:`Shape`
+holding one ``(name, type node, required)`` triple per field.  The
+type nodes are the whole wire vocabulary, listed here and nowhere
+else; the last column is a node's text form in the ``service.describe``
+manifest (:mod:`repro.api.manifest`):
+
+=======================  ======================  =================
+``int`` ``float``        number, never a bool    ``int`` ``float``
+``str`` ``bool``         string, boolean         ``str`` ``bool``
+``NoneType`` ``dict``    null, any object        ``null`` ``dict``
+``("tuple", (A, B))``    array of that length    ``tuple[A,B]``
+``("array", T)``         array of any length     ``tuple[T,...]``
+``("union", (A, B))``    first arm that fits     ``A|B``
+``("record", key)``      nested dataclass        its class name
+=======================  ======================  =================
+
+A ``float`` also takes an integer and decodes it as a float.
+Anything richer belongs in an explicit dataclass.  One walker,
+:func:`decode`, checks JSON against these nodes: for typed decoding a
+record key is a class resolved through :data:`SHAPES`; for
+:class:`repro.api.manifest.ManifestCodec` it is a type name resolved
+through shapes parsed from a manifest.
+
+Shapes are immutable and compiling one class twice yields equal
+shapes, so session threads share :data:`SHAPES` without a lock: a
+race costs one redundant compile, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -24,26 +46,155 @@ import dataclasses
 import json
 import types
 import typing
+from typing import Callable, NamedTuple
 
 from repro.api.errors import BadRequest
 
-_HINTS_CACHE: dict[type, dict[str, object]] = {}
+NoneType = type(None)
+
+#: The scalar nodes and their manifest spellings.
+SCALARS = {
+    int: "int", float: "float", str: "str", bool: "bool", NoneType: "null", dict: "dict"
+}
+_LEAVES = frozenset(SCALARS) - {dict}
 
 
-def _hints(cls: type) -> dict[str, object]:
-    hints = _HINTS_CACHE.get(cls)
-    if hints is None:
-        hints = _HINTS_CACHE[cls] = typing.get_type_hints(cls)
-    return hints
+class Shape(NamedTuple):
+    """One record type, compiled: what :func:`decode` checks it by."""
+
+    #: Called with the decoded fields as keywords: the dataclass, or
+    #: ``dict`` for a record known only from a manifest.
+    make: Callable
+    #: ``(name, type node, required)`` per field, in declaration order.
+    fields: tuple[tuple[str, object, bool], ...]
+    known: frozenset[str]
+
+
+def shape(make: Callable, fields) -> Shape:
+    fields = tuple(fields)
+    return Shape(make, fields, frozenset(name for name, _, _ in fields))
+
+
+def _node(hint):
+    if hint in SCALARS:
+        return hint
+    if dataclasses.is_dataclass(hint):
+        return ("record", hint)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        return ("array", _node(args[0]))
+    if origin is tuple:
+        return ("tuple", tuple(_node(arg) for arg in args))
+    if origin in (typing.Union, types.UnionType):
+        return ("union", tuple(_node(arg) for arg in args))
+    raise TypeError(f"{hint!r} is not in the wire vocabulary")
+
+
+class _Shapes(dict):
+    """Dataclass -> :class:`Shape`, compiled on first lookup."""
+
+    def __missing__(self, cls: type) -> Shape:
+        hints = typing.get_type_hints(cls)
+        self[cls] = compiled = shape(
+            cls,
+            (
+                (
+                    f.name,
+                    _node(hints[f.name]),
+                    f.default is dataclasses.MISSING
+                    and f.default_factory is dataclasses.MISSING,
+                )
+                for f in dataclasses.fields(cls)
+            ),
+        )
+        return compiled
+
+
+SHAPES: dict[type, Shape] = _Shapes()
+
+
+def decode(node, value, where: str, shapes):
+    """``value`` checked against ``node``, converted where the node
+    says so (``float`` coercion, arrays to tuples, records built)."""
+    if node is str or node is bool:
+        if isinstance(value, node):
+            return value
+        raise BadRequest(f"{where}: expected {node.__name__}")
+    if node is int:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        raise BadRequest(f"{where}: expected an integer")
+    if node is float:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+        raise BadRequest(f"{where}: expected a number")
+    if node is NoneType:
+        if value is None:
+            return None
+        raise BadRequest(f"{where}: expected null")
+    if node is dict:
+        if isinstance(value, dict):
+            return value
+        raise BadRequest(f"{where}: expected an object")
+    kind, arg = node
+    if kind == "record":
+        return decode_record(shapes[arg], value, where, shapes)
+    if kind == "union":
+        # Only a null arm accepts null, so answering it directly keeps
+        # the arm order's result without raising for each earlier arm.
+        if value is None and NoneType in arg:
+            return None
+        for arm in arg:
+            try:
+                return decode(arm, value, where, shapes)
+            except BadRequest:
+                continue
+        raise BadRequest(f"{where}: no union arm accepts the value")
+    if not isinstance(value, list):
+        raise BadRequest(f"{where}: expected an array")
+    if kind == "array":
+        arg = (arg,) * len(value)
+    elif len(value) != len(arg):
+        raise BadRequest(f"{where}: expected {len(arg)} element(s)")
+    return tuple(
+        [
+            decode(arm, item, f"{where}[{i}]", shapes)
+            for i, (arm, item) in enumerate(zip(arg, value))
+        ]
+    )
+
+
+def decode_record(record: Shape, data, where: str, shapes):
+    """``data`` checked against a record shape and built with its
+    ``make``."""
+    if not isinstance(data, dict):
+        raise BadRequest(f"{where}: expected an object, got {type(data).__name__}")
+    if not record.known.issuperset(data):
+        unknown = sorted(set(data) - record.known)
+        raise BadRequest(f"{where}: unknown field(s) {', '.join(unknown)}")
+    kwargs = {}
+    for name, node, required in record.fields:
+        if name in data:
+            kwargs[name] = decode(node, data[name], f"{where}.{name}", shapes)
+        elif required:
+            raise BadRequest(f"{where}: missing required field {name!r}")
+    return record.make(**kwargs)
+
+
+def from_jsonable(cls: type, data, where: str | None = None):
+    """Build ``cls`` from decoded JSON, strictly."""
+    return decode_record(SHAPES[cls], data, where or cls.__name__, SHAPES)
 
 
 def to_jsonable(value):
     """A dataclass (or plain value) as JSON-ready data: dicts, lists
     and scalars, every field present."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+    cls = type(value)
+    if cls in _LEAVES:
+        return value
+    if cls in SHAPES or dataclasses.is_dataclass(cls):
         return {
-            f.name: to_jsonable(getattr(value, f.name))
-            for f in dataclasses.fields(value)
+            name: to_jsonable(getattr(value, name)) for name, _, _ in SHAPES[cls].fields
         }
     if isinstance(value, (list, tuple)):
         return [to_jsonable(item) for item in value]
@@ -52,94 +203,11 @@ def to_jsonable(value):
     return value
 
 
+def dumps(data) -> str:
+    """Key-sorted, compact JSON of data already JSON-ready."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(value) -> str:
     """The one serialisation both sides agree on: key-sorted, compact."""
-    return json.dumps(to_jsonable(value), sort_keys=True, separators=(",", ":"))
-
-
-def from_jsonable(cls: type, data, where: str | None = None):
-    """Build ``cls`` from decoded JSON, strictly."""
-    where = where or cls.__name__
-    if not isinstance(data, dict):
-        raise BadRequest(f"{where}: expected an object, got {type(data).__name__}")
-    field_list = dataclasses.fields(cls)
-    known = {f.name for f in field_list}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise BadRequest(f"{where}: unknown field(s) {', '.join(unknown)}")
-    hints = _hints(cls)
-    kwargs = {}
-    for f in field_list:
-        if f.name in data:
-            kwargs[f.name] = _convert(
-                hints[f.name], data[f.name], f"{where}.{f.name}"
-            )
-        elif (
-            f.default is dataclasses.MISSING
-            and f.default_factory is dataclasses.MISSING
-        ):
-            raise BadRequest(f"{where}: missing required field {f.name!r}")
-    return cls(**kwargs)
-
-
-def _convert(hint, value, where: str):
-    origin = typing.get_origin(hint)
-    if origin is None:
-        if dataclasses.is_dataclass(hint):
-            return from_jsonable(hint, value, where)
-        if hint is typing.Any:
-            return value
-        if hint is type(None):
-            if value is not None:
-                raise BadRequest(f"{where}: expected null")
-            return None
-        if hint is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise BadRequest(f"{where}: expected a number")
-            return float(value)
-        if hint is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise BadRequest(f"{where}: expected an integer")
-            return value
-        if hint is bool or hint is str:
-            if not isinstance(value, hint):
-                raise BadRequest(f"{where}: expected {hint.__name__}")
-            return value
-        if hint is dict:
-            if not isinstance(value, dict):
-                raise BadRequest(f"{where}: expected an object")
-            return value
-        raise BadRequest(f"{where}: unsupported field type {hint!r}")
-    if origin is tuple:
-        args = typing.get_args(hint)
-        if not isinstance(value, list):
-            raise BadRequest(f"{where}: expected an array")
-        if len(args) == 2 and args[1] is Ellipsis:
-            return tuple(
-                _convert(args[0], item, f"{where}[{i}]")
-                for i, item in enumerate(value)
-            )
-        if len(value) != len(args):
-            raise BadRequest(f"{where}: expected {len(args)} element(s)")
-        return tuple(
-            _convert(arg, item, f"{where}[{i}]")
-            for i, (arg, item) in enumerate(zip(args, value))
-        )
-    if origin in (typing.Union, types.UnionType):
-        for arg in typing.get_args(hint):
-            try:
-                return _convert(arg, value, where)
-            except BadRequest:
-                continue
-        raise BadRequest(f"{where}: no union arm accepts the value")
-    if origin is dict:
-        key_t, val_t = typing.get_args(hint)
-        if not isinstance(value, dict):
-            raise BadRequest(f"{where}: expected an object")
-        if key_t is not str:
-            raise BadRequest(f"{where}: only str-keyed mappings travel")
-        return {
-            key: _convert(val_t, item, f"{where}[{key}]")
-            for key, item in value.items()
-        }
-    raise BadRequest(f"{where}: unsupported field type {hint!r}")
+    return dumps(to_jsonable(value))

@@ -2,41 +2,29 @@
 
 :func:`build_manifest` walks the typed registry (and optionally the
 ``service.*`` control table) and exports every command's request and
-result schema as data: field names, a small type-string grammar,
-required flags, the ``replayable`` bit the journal allowlist is built
-from, and the stable dotted error codes.  The manifest is itself a
-frozen wire dataclass, so it travels protocol v1 like everything else.
+result schema as data: field names, type strings, required flags, the
+``replayable`` bit the journal allowlist is built from, and the stable
+dotted error codes.  The manifest is itself a frozen wire dataclass,
+so it travels protocol v1 like everything else.
 
-The type-string grammar covers exactly the codec's wire vocabulary
-(:mod:`repro.api.codec`):
-
-=====================  ==================================
-``int`` ``float``      JSON number (``float`` accepts an
-``str`` ``bool``       integer reading; neither accepts a
-``null`` ``dict``      boolean)
-``A|B``                union, arms tried in order
-``tuple[T,...]``       variadic array
-``tuple[A,B]``         fixed-arity array
-``dict[str,T]``        string-keyed mapping
-``Name``               a dataclass in the manifest's
-                       ``types`` table
-=====================  ==================================
+A type string is the text form of a type node of the shape
+:mod:`repro.api.codec` compiled for the field's dataclass, spelled as
+that module's vocabulary table gives; a nested dataclass is named, and
+described once in the manifest's ``types`` table.
 
 :class:`ManifestCodec` is the proof the export is complete: built from
-a manifest alone — no imports of the typed dataclasses — it samples,
-validates and encodes byte-identical canonical request lines for every
+a manifest alone — no imports of the typed dataclasses — it parses
+those strings back into type nodes, validates with the codec's one
+walker and encodes byte-identical canonical request lines for every
 registered command.  The property test in ``tests/api/test_describe.py``
 pins that equivalence.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import types
-import typing
 from dataclasses import dataclass
 
-from repro.api.codec import canonical_json
+from repro.api.codec import SCALARS, SHAPES, Shape, canonical_json, decode_record, shape
 from repro.api.errors import BadRequest
 from repro.api.registry import REGISTRY
 from repro.api.types import PROTOCOL_VERSION
@@ -82,64 +70,32 @@ class Manifest:
     error_codes: tuple[str, ...]
 
 
-_SCALARS = {int: "int", float: "float", str: "str", bool: "bool"}
+def _spell(node, types_out: dict[str, TypeSchema]) -> str:
+    """``node`` as a manifest type string, registering the records it
+    reaches in ``types_out``."""
+    if node in SCALARS:
+        return SCALARS[node]
+    kind, arg = node
+    if kind == "record":
+        name = arg.__name__
+        if name not in types_out:
+            # Placeholder first: a type that reached itself would stop
+            # here instead of recursing forever.
+            types_out[name] = TypeSchema(name=name, fields=())
+            types_out[name] = TypeSchema(name=name, fields=_fields(arg, types_out))
+        return name
+    if kind == "union":
+        return "|".join(_spell(arm, types_out) for arm in arg)
+    if kind == "array":
+        return f"tuple[{_spell(arg, types_out)},...]"
+    return f"tuple[{','.join(_spell(arm, types_out) for arm in arg)}]"
 
 
-def _type_string(hint, types_out: dict[str, TypeSchema]) -> str:
-    """``hint`` as manifest grammar, registering nested dataclasses."""
-    origin = typing.get_origin(hint)
-    if origin is None:
-        if dataclasses.is_dataclass(hint):
-            _register_type(hint, types_out)
-            return hint.__name__
-        if hint in _SCALARS:
-            return _SCALARS[hint]
-        if hint is type(None):
-            return "null"
-        if hint is dict:
-            return "dict"
-        raise TypeError(f"no manifest spelling for {hint!r}")
-    if origin is tuple:
-        args = typing.get_args(hint)
-        if len(args) == 2 and args[1] is Ellipsis:
-            return f"tuple[{_type_string(args[0], types_out)},...]"
-        inner = ",".join(_type_string(a, types_out) for a in args)
-        return f"tuple[{inner}]"
-    if origin in (typing.Union, types.UnionType):
-        return "|".join(
-            _type_string(a, types_out) for a in typing.get_args(hint)
-        )
-    if origin is dict:
-        key_t, val_t = typing.get_args(hint)
-        if key_t is not str:
-            raise TypeError(f"no manifest spelling for {hint!r}")
-        return f"dict[str,{_type_string(val_t, types_out)}]"
-    raise TypeError(f"no manifest spelling for {hint!r}")
-
-
-def _fields_of(cls: type, types_out: dict[str, TypeSchema]):
-    hints = typing.get_type_hints(cls)
+def _fields(cls: type, types_out: dict[str, TypeSchema]):
     return tuple(
-        FieldSchema(
-            name=f.name,
-            type=_type_string(hints[f.name], types_out),
-            required=(
-                f.default is dataclasses.MISSING
-                and f.default_factory is dataclasses.MISSING
-            ),
-        )
-        for f in dataclasses.fields(cls)
+        FieldSchema(name=name, type=_spell(node, types_out), required=required)
+        for name, node, required in SHAPES[cls].fields
     )
-
-
-def _register_type(cls: type, types_out: dict[str, TypeSchema]) -> None:
-    name = cls.__name__
-    if name in types_out:
-        return
-    # Placeholder first: breaks recursion if a type ever references
-    # itself (none do today, but the walk must not infinitely recurse).
-    types_out[name] = TypeSchema(name=name, fields=())
-    types_out[name] = TypeSchema(name=name, fields=_fields_of(cls, types_out))
 
 
 def _error_codes() -> tuple[str, ...]:
@@ -181,8 +137,8 @@ def build_manifest(control: dict | None = None) -> Manifest:
                 name=name,
                 replayable=spec.replayable,
                 control=False,
-                request=_fields_of(spec.request, types_out),
-                result=_fields_of(spec.result, types_out),
+                request=_fields(spec.request, types_out),
+                result=_fields(spec.result, types_out),
             )
         )
     for name, (request_cls, result_cls) in sorted((control or {}).items()):
@@ -191,8 +147,8 @@ def build_manifest(control: dict | None = None) -> Manifest:
                 name=name,
                 replayable=False,
                 control=True,
-                request=_fields_of(request_cls, types_out),
-                result=_fields_of(result_cls, types_out),
+                request=_fields(request_cls, types_out),
+                result=_fields(result_cls, types_out),
             )
         )
     commands.sort(key=lambda c: c.name)
@@ -222,185 +178,62 @@ def _split_top(text: str, sep: str) -> list[str]:
     return parts
 
 
+_SPELLED = {spelling: node for node, spelling in SCALARS.items()}
+
+
+def _parse(text: str, type_names) -> object:
+    """A manifest type string back into a type node; records are keyed
+    by type name."""
+    arms = _split_top(text, "|")
+    if len(arms) > 1:
+        return ("union", tuple(_parse(arm, type_names) for arm in arms))
+    if text.startswith("tuple[") and text.endswith("]"):
+        parts = _split_top(text[6:-1], ",")
+        if len(parts) == 2 and parts[1] == "...":
+            return ("array", _parse(parts[0], type_names))
+        return ("tuple", tuple(_parse(part, type_names) for part in parts))
+    if text in _SPELLED:
+        return _SPELLED[text]
+    if text in type_names:
+        return ("record", text)
+    raise BadRequest(f"manifest: unknown type {text!r}")
+
+
 class ManifestCodec:
-    """Validate, sample and encode requests from a :class:`Manifest`
-    alone — no access to the typed dataclasses.
+    """Validate and encode requests from a :class:`Manifest` alone — no
+    access to the typed dataclasses.
 
     This is the consumer the manifest contract is tested against: if a
     codec built from ``service.describe`` output can produce the same
     canonical bytes as the typed encoder for every command, the export
-    is complete.
+    is complete.  It parses each type string back into the codec's type
+    nodes and checks JSON with the same walker typed decoding uses.
     """
 
     def __init__(self, manifest: Manifest):
         self.manifest = manifest
-        self.commands = {c.name: c for c in manifest.commands}
-        self.types = {t.name: t for t in manifest.types}
-        self._parsed: dict[str, tuple] = {}
+        names = {t.name for t in manifest.types}
 
-    def command(self, name: str) -> CommandSchema:
-        schema = self.commands.get(name)
-        if schema is None:
-            raise BadRequest(f"manifest: unknown command {name!r}")
-        return schema
-
-    # -- type strings -> nodes ---------------------------------------------
-
-    def _node(self, text: str) -> tuple:
-        node = self._parsed.get(text)
-        if node is None:
-            node = self._parsed[text] = self._parse(text)
-        return node
-
-    def _parse(self, text: str) -> tuple:
-        arms = _split_top(text, "|")
-        if len(arms) > 1:
-            return ("union", tuple(self._parse(a) for a in arms))
-        if text.startswith("tuple[") and text.endswith("]"):
-            parts = _split_top(text[6:-1], ",")
-            if len(parts) == 2 and parts[1] == "...":
-                return ("vtuple", self._parse(parts[0]))
-            return ("tuple", tuple(self._parse(p) for p in parts))
-        if text.startswith("dict[") and text.endswith("]"):
-            parts = _split_top(text[5:-1], ",")
-            if len(parts) != 2 or parts[0] != "str":
-                raise BadRequest(f"manifest: bad mapping type {text!r}")
-            return ("map", self._parse(parts[1]))
-        if text in ("int", "float", "str", "bool", "null", "dict"):
-            return (text,)
-        if text in self.types:
-            return ("ref", text)
-        raise BadRequest(f"manifest: unknown type {text!r}")
-
-    # -- strict validation (mirrors repro.api.codec) -----------------------
-
-    def validate_params(self, method: str, data: dict) -> None:
-        self._validate_fields(
-            self.command(method).request, data, f"{method}.request"
-        )
-
-    def validate_result(self, method: str, data: dict) -> None:
-        self._validate_fields(
-            self.command(method).result, data, f"{method}.result"
-        )
-
-    def _validate_fields(self, fields, data, where: str) -> None:
-        if not isinstance(data, dict):
-            raise BadRequest(f"{where}: expected an object")
-        known = {f.name for f in fields}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise BadRequest(
-                f"{where}: unknown field(s) {', '.join(unknown)}"
+        def compiled(fields) -> Shape:
+            return shape(
+                dict, ((f.name, _parse(f.type, names), f.required) for f in fields)
             )
-        for f in fields:
-            if f.name in data:
-                self._validate(
-                    self._node(f.type), data[f.name], f"{where}.{f.name}"
-                )
-            elif f.required:
-                raise BadRequest(
-                    f"{where}: missing required field {f.name!r}"
-                )
 
-    def _validate(self, node: tuple, value, where: str) -> None:
-        kind = node[0]
-        if kind == "int":
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise BadRequest(f"{where}: expected an integer")
-        elif kind == "float":
-            if isinstance(value, bool) or not isinstance(
-                value, (int, float)
-            ):
-                raise BadRequest(f"{where}: expected a number")
-        elif kind == "str":
-            if not isinstance(value, str):
-                raise BadRequest(f"{where}: expected str")
-        elif kind == "bool":
-            if not isinstance(value, bool):
-                raise BadRequest(f"{where}: expected bool")
-        elif kind == "null":
-            if value is not None:
-                raise BadRequest(f"{where}: expected null")
-        elif kind == "dict":
-            if not isinstance(value, dict):
-                raise BadRequest(f"{where}: expected an object")
-        elif kind == "vtuple":
-            if not isinstance(value, list):
-                raise BadRequest(f"{where}: expected an array")
-            for i, item in enumerate(value):
-                self._validate(node[1], item, f"{where}[{i}]")
-        elif kind == "tuple":
-            if not isinstance(value, list):
-                raise BadRequest(f"{where}: expected an array")
-            if len(value) != len(node[1]):
-                raise BadRequest(
-                    f"{where}: expected {len(node[1])} element(s)"
-                )
-            for i, (arm, item) in enumerate(zip(node[1], value)):
-                self._validate(arm, item, f"{where}[{i}]")
-        elif kind == "union":
-            for arm in node[1]:
-                try:
-                    self._validate(arm, value, where)
-                    return
-                except BadRequest:
-                    continue
-            raise BadRequest(f"{where}: no union arm accepts the value")
-        elif kind == "map":
-            if not isinstance(value, dict):
-                raise BadRequest(f"{where}: expected an object")
-            for key, item in value.items():
-                self._validate(node[1], item, f"{where}[{key}]")
-        elif kind == "ref":
-            self._validate_fields(self.types[node[1]].fields, value, where)
-        else:  # pragma: no cover - parser emits only the kinds above
-            raise BadRequest(f"{where}: unsupported node {kind!r}")
-
-    # -- samples (mirror tests/api/test_wire.py exactly) -------------------
-
-    def sample_params(self, method: str) -> dict:
-        return self._sample_fields(self.command(method).request, 0)
-
-    def sample_result(self, method: str) -> dict:
-        return self._sample_fields(self.command(method).result, 0)
-
-    def _sample_fields(self, fields, depth: int) -> dict:
-        return {
-            f.name: self._sample(self._node(f.type), depth) for f in fields
+        #: Type name -> shape, the table ``("record", name)`` resolves in.
+        self.shapes = {t.name: compiled(t.fields) for t in manifest.types}
+        #: (method, ``"request"`` or ``"result"``) -> shape.
+        self.sides = {
+            (c.name, side): compiled(getattr(c, side))
+            for c in manifest.commands
+            for side in ("request", "result")
         }
 
-    def _sample(self, node: tuple, depth: int):
-        kind = node[0]
-        if kind == "int":
-            return 7 + depth
-        if kind == "float":
-            return 1.5 + depth
-        if kind == "str":
-            return f"s{depth}"
-        if kind == "bool":
-            return True
-        if kind == "null":
-            return None
-        if kind == "dict":
-            return {"k": depth}
-        if kind == "vtuple":
-            return [
-                self._sample(node[1], depth),
-                self._sample(node[1], depth + 1),
-            ]
-        if kind == "tuple":
-            return [self._sample(arm, depth) for arm in node[1]]
-        if kind == "union":
-            arms = [a for a in node[1] if a[0] != "null"]
-            return self._sample(arms[0], depth)
-        if kind == "map":
-            return {"k": self._sample(node[1], depth)}
-        if kind == "ref":
-            return self._sample_fields(self.types[node[1]].fields, depth + 1)
-        raise BadRequest(f"manifest: cannot sample {kind!r}")
-
-    # -- encoding ----------------------------------------------------------
+    def validate(self, method: str, side: str, data: dict) -> dict:
+        """``data`` checked as ``method``'s ``side``; returns it decoded."""
+        compiled = self.sides.get((method, side))
+        if compiled is None:
+            raise BadRequest(f"manifest: unknown command {method!r}")
+        return decode_record(compiled, data, f"{method}.{side}", self.shapes)
 
     def encode_request_line(
         self,
@@ -412,12 +245,11 @@ class ManifestCodec:
     ) -> str:
         """A canonical request line, byte-identical to what the typed
         :func:`repro.api.wire.encode_request` emits for the same data."""
-        self.validate_params(method, params)
         return canonical_json(
             {
                 "id": id,
                 "method": method,
-                "params": params,
+                "params": self.validate(method, "request", params),
                 "session": session,
                 "trace": None,
                 "v": self.manifest.version,

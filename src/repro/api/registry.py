@@ -3,9 +3,10 @@
 Handlers hold the logic the textual interface used to inline; they
 take a :class:`repro.api.session.Session` and a request dataclass and
 return the paired result dataclass (or raise — error mapping is the
-transport's job).  Editor verbs are flagged ``replayable``: that subset
-is, by construction, the REPLAY journal's command allowlist, and a test
-asserts it matches :data:`repro.core.replay.REPLAYABLE`.
+transport's job).  A command is ``replayable`` exactly when the REPLAY
+journal's allowlist, :data:`repro.core.replay.REPLAYABLE`, names it;
+``readonly`` marks the pure queries (no editor mutation, no WAL entry,
+no file written), which re-run harmlessly.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Callable
 from repro.api import types as t
 from repro.api.errors import UnknownCommand
 from repro.core.errors import RiotError
+from repro.core.replay import REPLAYABLE
 from repro.geometry.point import Point
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -31,15 +33,18 @@ class CommandSpec:
     result: type
     handler: Callable
     replayable: bool = False
+    readonly: bool = False
 
 
 REGISTRY: dict[str, CommandSpec] = {}
 SPEC_BY_REQUEST: dict[type, CommandSpec] = {}
 
 
-def command(name: str, request: type, result: type, replayable: bool = False):
+def command(name: str, request: type, result: type, readonly: bool = False):
     def register(handler):
-        spec = CommandSpec(name, request, result, handler, replayable)
+        spec = CommandSpec(
+            name, request, result, handler, name in REPLAYABLE, readonly
+        )
         REGISTRY[name] = spec
         SPEC_BY_REQUEST[request] = spec
         return handler
@@ -52,10 +57,6 @@ def spec_for(name: str) -> CommandSpec:
     if spec is None:
         raise UnknownCommand(f"unknown command {name!r}")
     return spec
-
-
-def replayable_commands() -> frozenset[str]:
-    return frozenset(n for n, s in REGISTRY.items() if s.replayable)
 
 
 # -- environment: files, plots, reports ------------------------------------
@@ -172,19 +173,19 @@ def _set_tracks(session, req: t.SetTracksRequest) -> t.SetTracksResult:
     return t.SetTracksResult(tracks=req.tracks)
 
 
-@command("cells", t.CellsRequest, t.CellsResult)
+@command("cells", t.CellsRequest, t.CellsResult, readonly=True)
 def _cells(session, req: t.CellsRequest) -> t.CellsResult:
     return t.CellsResult(names=tuple(session.editor.library.names))
 
 
-@command("pending", t.PendingRequest, t.PendingResult)
+@command("pending", t.PendingRequest, t.PendingResult, readonly=True)
 def _pending(session, req: t.PendingRequest) -> t.PendingResult:
     return t.PendingResult(
         entries=tuple(session.editor.pending.display_strings())
     )
 
 
-@command("check", t.CheckRequest, t.CheckResult)
+@command("check", t.CheckRequest, t.CheckResult, readonly=True)
 def _check(session, req: t.CheckRequest) -> t.CheckResult:
     report = session.editor.check()
     return t.CheckResult(
@@ -195,7 +196,7 @@ def _check(session, req: t.CheckRequest) -> t.CheckResult:
     )
 
 
-@command("help", t.HelpRequest, t.HelpResult)
+@command("help", t.HelpRequest, t.HelpResult, readonly=True)
 def _help(session, req: t.HelpRequest) -> t.HelpResult:
     return t.HelpResult(commands=tuple(sorted(REGISTRY)))
 
@@ -254,12 +255,12 @@ def _recover(session, req: t.RecoverRequest) -> t.RecoverResult:
 # -- observability ----------------------------------------------------------
 
 
-@command("stats", t.StatsRequest, t.StatsResult)
+@command("stats", t.StatsRequest, t.StatsResult, readonly=True)
 def _stats(session, req: t.StatsRequest) -> t.StatsResult:
     return t.StatsResult(text=session.metrics.render_text())
 
 
-@command("trace", t.TraceRequest, t.TraceResult)
+@command("trace", t.TraceRequest, t.TraceResult, readonly=True)
 def _trace(session, req: t.TraceRequest) -> t.TraceResult:
     usage = "usage: trace on|off|status|save <file>"
     verb = req.verb
@@ -320,42 +321,42 @@ def _trace_status(session, state: str | None = None) -> t.TraceResult:
 # -- editor verbs (the REPLAY command set) ---------------------------------
 
 
-@command("new_cell", t.NewCellRequest, t.NewCellResult, replayable=True)
+@command("new_cell", t.NewCellRequest, t.NewCellResult)
 def _new_cell(session, req: t.NewCellRequest) -> t.NewCellResult:
     session.editor.new_cell(req.name)
     return t.NewCellResult(name=req.name)
 
 
-@command("edit", t.EditRequest, t.EditResult, replayable=True)
+@command("edit", t.EditRequest, t.EditResult)
 def _edit(session, req: t.EditRequest) -> t.EditResult:
     session.editor.edit(req.name)
     return t.EditResult(name=req.name)
 
 
-@command("finish", t.FinishRequest, t.FinishResult, replayable=True)
+@command("finish", t.FinishRequest, t.FinishResult)
 def _finish(session, req: t.FinishRequest) -> t.FinishResult:
     return t.FinishResult(connectors=tuple(session.editor.finish()))
 
 
-@command("delete_cell", t.DeleteCellRequest, t.DeleteCellResult, replayable=True)
+@command("delete_cell", t.DeleteCellRequest, t.DeleteCellResult)
 def _delete_cell(session, req: t.DeleteCellRequest) -> t.DeleteCellResult:
     session.editor.delete_cell(req.name)
     return t.DeleteCellResult(name=req.name)
 
 
-@command("rename_cell", t.RenameCellRequest, t.RenameCellResult, replayable=True)
+@command("rename_cell", t.RenameCellRequest, t.RenameCellResult)
 def _rename_cell(session, req: t.RenameCellRequest) -> t.RenameCellResult:
     session.editor.rename_cell(req.old, req.new)
     return t.RenameCellResult(old=req.old, new=req.new)
 
 
-@command("select", t.SelectRequest, t.SelectResult, replayable=True)
+@command("select", t.SelectRequest, t.SelectResult)
 def _select(session, req: t.SelectRequest) -> t.SelectResult:
     session.editor.select(req.cell_name)
     return t.SelectResult(cell_name=req.cell_name)
 
 
-@command("create", t.CreateRequest, t.CreateResult, replayable=True)
+@command("create", t.CreateRequest, t.CreateResult)
 def _create(session, req: t.CreateRequest) -> t.CreateResult:
     instance = session.editor.create(
         Point(req.at[0], req.at[1]),
@@ -370,48 +371,43 @@ def _create(session, req: t.CreateRequest) -> t.CreateResult:
     return t.CreateResult(name=instance.name, x=req.at[0], y=req.at[1])
 
 
-@command(
-    "delete_instance",
-    t.DeleteInstanceRequest,
-    t.DeleteInstanceResult,
-    replayable=True,
-)
+@command("delete_instance", t.DeleteInstanceRequest, t.DeleteInstanceResult)
 def _delete_instance(session, req: t.DeleteInstanceRequest) -> t.DeleteInstanceResult:
     session.editor.delete_instance(req.name)
     return t.DeleteInstanceResult(name=req.name)
 
 
-@command("move", t.MoveRequest, t.MoveResult, replayable=True)
+@command("move", t.MoveRequest, t.MoveResult)
 def _move(session, req: t.MoveRequest) -> t.MoveResult:
     session.editor.move(req.name, Point(req.to[0], req.to[1]))
     return t.MoveResult(name=req.name, x=req.to[0], y=req.to[1])
 
 
-@command("move_by", t.MoveByRequest, t.MoveByResult, replayable=True)
+@command("move_by", t.MoveByRequest, t.MoveByResult)
 def _move_by(session, req: t.MoveByRequest) -> t.MoveByResult:
     session.editor.move_by(req.name, req.dx, req.dy)
     return t.MoveByResult(name=req.name, dx=req.dx, dy=req.dy)
 
 
-@command("rotate", t.RotateRequest, t.RotateResult, replayable=True)
+@command("rotate", t.RotateRequest, t.RotateResult)
 def _rotate(session, req: t.RotateRequest) -> t.RotateResult:
     session.editor.rotate(req.name)
     return t.RotateResult(name=req.name)
 
 
-@command("mirror", t.MirrorRequest, t.MirrorResult, replayable=True)
+@command("mirror", t.MirrorRequest, t.MirrorResult)
 def _mirror(session, req: t.MirrorRequest) -> t.MirrorResult:
     session.editor.mirror(req.name, req.axis)
     return t.MirrorResult(name=req.name, axis=req.axis)
 
 
-@command("replicate", t.ReplicateRequest, t.ReplicateResult, replayable=True)
+@command("replicate", t.ReplicateRequest, t.ReplicateResult)
 def _replicate(session, req: t.ReplicateRequest) -> t.ReplicateResult:
     session.editor.replicate(req.name, req.nx, req.ny, req.dx, req.dy)
     return t.ReplicateResult(name=req.name, nx=req.nx, ny=req.ny)
 
 
-@command("connect", t.ConnectRequest, t.ConnectResult, replayable=True)
+@command("connect", t.ConnectRequest, t.ConnectResult)
 def _connect(session, req: t.ConnectRequest) -> t.ConnectResult:
     display = session.editor.connect(
         req.from_instance, req.from_connector, req.to_instance, req.to_connector
@@ -419,40 +415,36 @@ def _connect(session, req: t.ConnectRequest) -> t.ConnectResult:
     return t.ConnectResult(display=display)
 
 
-@command("bus", t.BusRequest, t.BusResult, replayable=True)
+@command("bus", t.BusRequest, t.BusResult)
 def _bus(session, req: t.BusRequest) -> t.BusResult:
     paired = session.editor.bus(req.from_instance, req.to_instance)
     return t.BusResult(paired=paired)
 
 
-@command("unconnect", t.UnconnectRequest, t.UnconnectResult, replayable=True)
+@command("unconnect", t.UnconnectRequest, t.UnconnectResult)
 def _unconnect(session, req: t.UnconnectRequest) -> t.UnconnectResult:
     return t.UnconnectResult(display=session.editor.unconnect(req.index))
 
 
-@command(
-    "clear_pending", t.ClearPendingRequest, t.ClearPendingResult, replayable=True
-)
+@command("clear_pending", t.ClearPendingRequest, t.ClearPendingResult)
 def _clear_pending(session, req: t.ClearPendingRequest) -> t.ClearPendingResult:
     session.editor.clear_pending()
     return t.ClearPendingResult()
 
 
-@command("do_abut", t.AbutRequest, t.AbutCommandResult, replayable=True)
+@command("do_abut", t.AbutRequest, t.AbutCommandResult)
 def _do_abut(session, req: t.AbutRequest) -> t.AbutCommandResult:
     result = session.editor.do_abut(overlap=req.overlap)
     return t.AbutCommandResult(made=result.made, warnings=tuple(result.warnings))
 
 
-@command(
-    "do_abut_edges", t.AbutEdgesRequest, t.AbutCommandResult, replayable=True
-)
+@command("do_abut_edges", t.AbutEdgesRequest, t.AbutCommandResult)
 def _do_abut_edges(session, req: t.AbutEdgesRequest) -> t.AbutCommandResult:
     result = session.editor.do_abut_edges(req.from_instance, req.to_instance)
     return t.AbutCommandResult(made=result.made, warnings=tuple(result.warnings))
 
 
-@command("do_route", t.RouteRequest, t.RouteCommandResult, replayable=True)
+@command("do_route", t.RouteRequest, t.RouteCommandResult)
 def _do_route(session, req: t.RouteRequest) -> t.RouteCommandResult:
     result = session.editor.do_route(move_from=req.move_from)
     return t.RouteCommandResult(
@@ -466,7 +458,7 @@ def _do_route(session, req: t.RouteRequest) -> t.RouteCommandResult:
     )
 
 
-@command("do_stretch", t.StretchRequest, t.StretchCommandResult, replayable=True)
+@command("do_stretch", t.StretchRequest, t.StretchCommandResult)
 def _do_stretch(session, req: t.StretchRequest) -> t.StretchCommandResult:
     result = session.editor.do_stretch(overlap=req.overlap)
     return t.StretchCommandResult(
@@ -477,7 +469,7 @@ def _do_stretch(session, req: t.StretchRequest) -> t.StretchCommandResult:
     )
 
 
-@command("bring_out", t.BringOutRequest, t.BringOutResult, replayable=True)
+@command("bring_out", t.BringOutRequest, t.BringOutResult)
 def _bring_out(session, req: t.BringOutRequest) -> t.BringOutResult:
     instance = session.editor.bring_out(
         req.instance_name, list(req.connector_names), req.side
@@ -649,7 +641,9 @@ def _library_get(session, req: t.LibraryGetRequest) -> t.LibraryGetResult:
     )
 
 
-@command("library.resolve", t.LibraryResolveRequest, t.LibraryResolveResult)
+@command(
+    "library.resolve", t.LibraryResolveRequest, t.LibraryResolveResult, readonly=True
+)
 def _library_resolve(session, req: t.LibraryResolveRequest) -> t.LibraryResolveResult:
     store = _require_cellstore(session)
     record = store.resolve(req.ref)
@@ -663,7 +657,7 @@ def _library_resolve(session, req: t.LibraryResolveRequest) -> t.LibraryResolveR
     )
 
 
-@command("library.list", t.LibraryListRequest, t.LibraryListResult)
+@command("library.list", t.LibraryListRequest, t.LibraryListResult, readonly=True)
 def _library_list(session, req: t.LibraryListRequest) -> t.LibraryListResult:
     store = _require_cellstore(session)
     records = store.versions(req.name) if req.name else store.records()
@@ -691,7 +685,7 @@ def _library_deprecate(
     return t.LibraryDeprecateResult(name=record.name, version=record.version)
 
 
-@command("library.deps", t.LibraryDepsRequest, t.LibraryDepsResult)
+@command("library.deps", t.LibraryDepsRequest, t.LibraryDepsResult, readonly=True)
 def _library_deps(session, req: t.LibraryDepsRequest) -> t.LibraryDepsResult:
     store = _require_cellstore(session)
     record = store.resolve(req.ref)
@@ -702,7 +696,9 @@ def _library_deps(session, req: t.LibraryDepsRequest) -> t.LibraryDepsResult:
     )
 
 
-@command("library.impact", t.LibraryImpactRequest, t.LibraryImpactResult)
+@command(
+    "library.impact", t.LibraryImpactRequest, t.LibraryImpactResult, readonly=True
+)
 def _library_impact(session, req: t.LibraryImpactRequest) -> t.LibraryImpactResult:
     from repro.cellstore.cascade import assess_impact
 

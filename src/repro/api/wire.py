@@ -35,9 +35,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from repro.api.codec import canonical_json, from_jsonable, to_jsonable
+from repro.api.codec import canonical_json, dumps, from_jsonable, to_jsonable
 from repro.api.errors import BadRequest, VersionError
-from repro.api.registry import spec_for
 from repro.api.types import PROTOCOL_VERSION
 from repro.errors import ReproError, error_code
 
@@ -145,21 +144,22 @@ def encode_request(
     trace: dict | None = None,
     generation: int | None = None,
 ) -> str:
-    """One canonical request line (no trailing newline)."""
-    envelope = RequestEnvelope(
-        method=method,
-        params=to_jsonable(request),
-        id=id,
-        session=session,
-        trace=trace,
-        generation=generation,
-    )
-    data = to_jsonable(envelope)
-    if data["generation"] is None:
-        # Omitted, not null: lines without a route lease stay parseable
-        # by pre-direct-routing servers (strict codec rejects unknowns).
-        del data["generation"]
-    return canonical_json(data)
+    """One canonical request line (no trailing newline): a
+    :class:`RequestEnvelope`, every field present but ``generation``."""
+    data = {
+        "id": id,
+        "method": method,
+        "params": to_jsonable(request),
+        "session": session,
+        "trace": trace,
+        "v": PROTOCOL_VERSION,
+    }
+    if generation is not None:
+        # Present only with a route lease: lines without one stay
+        # parseable by pre-direct-routing servers (strict codec rejects
+        # unknowns).
+        data["generation"] = generation
+    return dumps(data)
 
 
 def parse_request(line: str | bytes) -> RequestEnvelope:
@@ -171,54 +171,45 @@ def parse_request(line: str | bytes) -> RequestEnvelope:
     return envelope
 
 
-def decode_params(envelope: RequestEnvelope):
-    """The typed request a parsed envelope carries."""
-    spec = spec_for(envelope.method)
-    return from_jsonable(spec.request, envelope.params, where=envelope.method)
-
-
 # -- responses --------------------------------------------------------------
 
 
-def encode_result(id, method: str, result, *, stages: dict | None = None) -> str:
-    envelope = ResponseEnvelope(
-        ok=True, id=id, method=method, result=to_jsonable(result), stages=stages
+def _response(id, method, ok, result, error, stages) -> str:
+    """A :class:`ResponseEnvelope` line, built as JSON-ready data."""
+    return dumps(
+        {
+            "error": error,
+            "id": id,
+            "method": method,
+            "ok": ok,
+            "result": result,
+            "stages": stages,
+            "v": PROTOCOL_VERSION,
+        }
     )
-    return canonical_json(envelope)
+
+
+def encode_result(id, method: str, result, *, stages: dict | None = None) -> str:
+    return _response(id, method, True, to_jsonable(result), None, stages)
 
 
 def encode_error(
     id, exc_or_code, message: str | None = None, *, stages: dict | None = None
 ) -> str:
     """An error line from an exception (code derived) or a code string."""
-    retry_after_ms = None
-    detail = None
-    if isinstance(exc_or_code, BaseException):
-        code = error_code(exc_or_code)
-        message = str(exc_or_code)
-        retry_after_ms = getattr(exc_or_code, "retry_after_ms", None)
-        detail = getattr(exc_or_code, "detail", None)
-        if detail is not None and not isinstance(detail, ErrorDetail):
-            detail = None
-    else:
-        code = exc_or_code
-        message = message or ""
-    envelope = ResponseEnvelope(
-        ok=False,
-        id=id,
-        error=ErrorInfo(
-            code=code,
-            message=message,
-            retry_after_ms=retry_after_ms,
-            detail=detail,
-        ),
-        stages=stages,
-    )
-    data = to_jsonable(envelope)
-    if data["error"]["detail"] is None:
-        # Omitted, not null: pre-direct-routing clients keep parsing.
-        del data["error"]["detail"]
-    return canonical_json(data)
+    if not isinstance(exc_or_code, BaseException):
+        error = {"code": exc_or_code, "message": message or "", "retry_after_ms": None}
+        return _response(id, None, False, None, error, stages)
+    error = {
+        "code": error_code(exc_or_code),
+        "message": str(exc_or_code),
+        "retry_after_ms": getattr(exc_or_code, "retry_after_ms", None),
+    }
+    detail = getattr(exc_or_code, "detail", None)
+    if isinstance(detail, ErrorDetail):
+        # Present only when set: pre-direct-routing clients keep parsing.
+        error["detail"] = to_jsonable(detail)
+    return _response(id, None, False, None, error, stages)
 
 
 def parse_response(line: str | bytes) -> ResponseEnvelope:
@@ -240,12 +231,3 @@ def response_error(envelope: ResponseEnvelope) -> ReproError:
     error.retry_after_ms = envelope.error.retry_after_ms
     error.detail = envelope.error.detail
     return error
-
-
-def decode_result(envelope: ResponseEnvelope):
-    """The typed result a success envelope carries; raises the wire
-    error as a :class:`ReproError` (code preserved) on a failure."""
-    if not envelope.ok:
-        raise response_error(envelope)
-    spec = spec_for(envelope.method)
-    return from_jsonable(spec.result, envelope.result, where=envelope.method)

@@ -208,7 +208,10 @@ class Journal:
 
     def attach(self, writer) -> None:
         """Tee future records to ``writer``; if the session already has
-        history, checkpoint it so the file holds the full session."""
+        history, checkpoint it so the file holds the full session.  A
+        writer this one replaces is closed."""
+        if self.writer is not None and self.writer is not writer:
+            self.writer.close()
         self.writer = writer
         if self.entries:
             writer.checkpoint(self.entries)

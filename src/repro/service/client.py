@@ -72,7 +72,7 @@ from repro.obs import trace
 from repro.service import control
 from repro.service.control import CONTROL
 from repro.service.errors import ServiceError
-from repro.service.telemetry import READONLY_METHODS, command_class
+from repro.service.telemetry import command_class
 from repro.service.telemetry import us as _us
 
 #: Error codes retried regardless of the method: the server refused to
@@ -131,10 +131,10 @@ def method_types(method: str) -> tuple[type, type]:
 
 def _replay_safe(method: str) -> bool:
     """May a retry duplicate-execute this method without harm?"""
-    if method in CONTROL or method in READONLY_METHODS:
+    if method in CONTROL:
         return True
     spec = REGISTRY.get(method)
-    return spec is not None and spec.replayable
+    return spec is not None and (spec.readonly or spec.replayable)
 
 
 class ServiceClient:

@@ -57,27 +57,6 @@ STAGES: tuple[str, ...] = (
     "fsync",
 )
 
-#: Pure queries — no editor mutation, no WAL entry, no file written —
-#: so re-running one is always harmless even though none is flagged
-#: ``replayable`` (there is nothing to replay).  Lives here (not in
-#: the client) so the command-class taxonomy and the client's retry
-#: policy share one definition without an import cycle.
-READONLY_METHODS = frozenset(
-    {
-        "cells",
-        "pending",
-        "check",
-        "help",
-        "stats",
-        "trace",
-        "library.resolve",
-        "library.list",
-        "library.deps",
-        "library.impact",
-    }
-)
-
-
 def command_class(method: str) -> str:
     """The SLO class a wire method belongs to.
 
@@ -86,7 +65,7 @@ def command_class(method: str) -> str:
     ``library``
         the shared-cell-library commands (cross-process store I/O);
     ``read``
-        pure queries (:data:`READONLY_METHODS`);
+        pure queries (flagged ``readonly`` in the registry);
     ``edit``
         replayable editor mutations — the interactive path the paper's
         response-time claim is about;
@@ -97,12 +76,12 @@ def command_class(method: str) -> str:
         return "control"
     if method.startswith("library."):
         return "library"
-    if method in READONLY_METHODS:
-        return "read"
     spec = REGISTRY.get(method)
-    if spec is not None and spec.replayable:
-        return "edit"
-    return "io"
+    if spec is None:
+        return "io"
+    if spec.readonly:
+        return "read"
+    return "edit" if spec.replayable else "io"
 
 
 #: How many slowest and errored requests a flight recorder keeps.

@@ -56,54 +56,65 @@ class TestJournalWriter:
 
     def test_append_is_immediately_durable(self, tmp_path):
         path = tmp_path / "s.rpl"
-        writer = JournalWriter(path)
-        writer.append(JournalEntry("new_cell", {"name": "top"}))
-        # Read back through a separate handle without closing the writer:
-        # the entry must already be on disk.
-        journal = load_text(path.read_text())
+        with JournalWriter(path) as writer:
+            writer.append(JournalEntry("new_cell", {"name": "top"}))
+            # Read back through a separate handle without closing the
+            # writer: the entry must already be on disk.
+            journal = load_text(path.read_text())
         assert [e.command for e in journal.entries] == ["new_cell"]
 
     def test_truncate_to_drops_tail(self, tmp_path):
         path = tmp_path / "s.rpl"
-        writer = JournalWriter(path)
-        offset = writer.append(JournalEntry("new_cell", {"name": "top"}))
-        writer.append(JournalEntry("finish", {}))
-        writer.truncate_to(offset + len(path.read_text().splitlines()[1]) + 1)
+        with JournalWriter(path) as writer:
+            offset = writer.append(JournalEntry("new_cell", {"name": "top"}))
+            writer.append(JournalEntry("finish", {}))
+            writer.truncate_to(offset + len(path.read_text().splitlines()[1]) + 1)
         journal = load_text(path.read_text())
         assert [e.command for e in journal.entries] == ["new_cell"]
 
     def test_checkpoint_compacts_atomically(self, tmp_path):
         path = tmp_path / "s.rpl"
-        writer = JournalWriter(path)
-        for i in range(5):
-            writer.append(JournalEntry("new_cell", {"name": f"c{i}"}))
-        entries = [JournalEntry("new_cell", {"name": "kept"})]
-        writer.checkpoint(entries)
-        journal = load_text(path.read_text())
-        assert [e.kwargs["name"] for e in journal.entries] == ["kept"]
-        # No temp litter left behind.
-        assert [p.name for p in tmp_path.iterdir()] == ["s.rpl"]
-        # Appends continue after the compaction.
-        writer.append(JournalEntry("finish", {}))
+        with JournalWriter(path) as writer:
+            for i in range(5):
+                writer.append(JournalEntry("new_cell", {"name": f"c{i}"}))
+            entries = [JournalEntry("new_cell", {"name": "kept"})]
+            writer.checkpoint(entries)
+            journal = load_text(path.read_text())
+            assert [e.kwargs["name"] for e in journal.entries] == ["kept"]
+            # No temp litter left behind.
+            assert [p.name for p in tmp_path.iterdir()] == ["s.rpl"]
+            # Appends continue after the compaction.
+            writer.append(JournalEntry("finish", {}))
         assert len(load_text(path.read_text()).entries) == 2
 
     def test_editor_tees_to_wal(self, tmp_path):
         path = tmp_path / "s.rpl"
         ed = stocked_editor(wal=str(path))
-        ed.new_cell("top")
-        ed.create(at=Point(0, 0), cell_name="driver", name="d")
+        with ed.journal.writer:
+            ed.new_cell("top")
+            ed.create(at=Point(0, 0), cell_name="driver", name="d")
         journal = load_text(path.read_text())
         assert [e.command for e in journal.entries] == ["new_cell", "create"]
 
     def test_periodic_checkpoint_at_command_boundary(self, tmp_path):
         path = tmp_path / "s.rpl"
-        ed = stocked_editor(wal=JournalWriter(path, checkpoint_interval=3))
-        ed.new_cell("top")
-        ed.new_cell("mid")
-        size_before = path.stat().st_size
-        ed.new_cell("bot")  # third append triggers compaction
+        with JournalWriter(path, checkpoint_interval=3) as writer:
+            ed = stocked_editor(wal=writer)
+            ed.new_cell("top")
+            ed.new_cell("mid")
+            size_before = path.stat().st_size
+            ed.new_cell("bot")  # third append triggers compaction
         assert len(load_text(path.read_text()).entries) == 3
         assert path.stat().st_size > size_before
+
+    def test_attach_closes_the_writer_it_replaces(self, tmp_path):
+        journal = Journal()
+        first = JournalWriter(tmp_path / "a.rpl")
+        journal.attach(first)
+        with JournalWriter(tmp_path / "b.rpl") as second:
+            journal.attach(second)
+            assert first._file.closed
+            assert not second._file.closed
 
 
 class TestTransactionalCommands:
@@ -128,10 +139,11 @@ class TestTransactionalCommands:
     def test_failed_command_truncates_wal(self, tmp_path):
         path = tmp_path / "s.rpl"
         ed = stocked_editor(wal=str(path))
-        ed.new_cell("top")
-        before = path.read_bytes()
-        with pytest.raises(Exception):
+        with ed.journal.writer:
             ed.new_cell("top")
+            before = path.read_bytes()
+            with pytest.raises(Exception):
+                ed.new_cell("top")
         assert path.read_bytes() == before
 
     def test_failed_replicate_keeps_array_shape(self):
@@ -266,8 +278,9 @@ class TestTextualCommands:
     def test_journal_and_recover_roundtrip(self, tmp_path):
         tui = TextualInterface(stocked_editor(), DiskStore(str(tmp_path)))
         assert "journaling" in tui.execute("journal s.rpl")
-        tui.execute("new demo")
-        tui.execute("rename demo better")
+        with tui.editor.journal.writer:
+            tui.execute("new demo")
+            tui.execute("rename demo better")
 
         tui2 = TextualInterface(stocked_editor(), DiskStore(str(tmp_path)))
         out = tui2.execute("recover s.rpl")
@@ -283,25 +296,26 @@ class TestCrashRecoverySubprocess:
     def test_sigkill_mid_session_then_recover(self, tmp_path):
         """The acceptance scenario: SIGKILL a recording session, then
         --recover restores every committed command."""
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-u", "-m", "repro", "--journal", "s.rpl"],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             text=True,
             cwd=str(tmp_path),
             env=SUBPROCESS_ENV,
-        )
-        try:
-            for command in ("new demo\n", "new second\n", "rename second best\n"):
-                proc.stdin.write(command)
-                proc.stdin.flush()
-                # Reading the echoed response proves the command (and its
-                # fsynced WAL append) completed before we pull the plug.
-                assert proc.stdout.readline().strip()
-            proc.send_signal(signal.SIGKILL)
-        finally:
-            proc.kill()
-            proc.wait(timeout=60)
+        ) as proc:
+            try:
+                for command in ("new demo\n", "new second\n", "rename second best\n"):
+                    proc.stdin.write(command)
+                    proc.stdin.flush()
+                    # Reading the echoed response proves the command (and
+                    # its fsynced WAL append) completed before we pull the
+                    # plug.
+                    assert proc.stdout.readline().strip()
+                proc.send_signal(signal.SIGKILL)
+            finally:
+                proc.kill()
+                proc.wait(timeout=60)
 
         result = subprocess.run(
             [sys.executable, "-m", "repro", "--recover", "s.rpl"],
