@@ -9,10 +9,4 @@ The public API most users need:
 * :func:`repro.core.verify.verify_cell` — netcheck + DRC + extraction.
 """
 
-from repro.core.editor import RiotEditor
-from repro.geometry.layers import nmos_technology
-from repro.geometry.point import Point
-
 __version__ = "1.0.0"
-
-__all__ = ["RiotEditor", "nmos_technology", "Point", "__version__"]

@@ -69,15 +69,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
-from repro.core.editor import RiotEditor
-from repro.core.textual import DiskStore, TextualInterface
-from repro.library.stock import filter_library
+if TYPE_CHECKING:  # pragma: no cover - annotations only; subcommands skip the editor
+    from repro.core.textual import TextualInterface
 
 
 def build_interface(
     root: str = ".", journal: str | None = None, library: str | None = None
 ) -> TextualInterface:
+    from repro.core.editor import RiotEditor
+    from repro.core.textual import DiskStore, TextualInterface
+    from repro.library.stock import filter_library
+
     editor = RiotEditor()
     editor.library = filter_library(editor.technology)
     cellstore = None
@@ -118,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
 
         return fuzz_main(argv[1:])
     if argv and argv[0] == "serve":
-        from repro.service.server import main as serve_main
+        from repro.service.serve import main as serve_main
 
         return serve_main(argv[1:])
     if argv and argv[0] == "top":

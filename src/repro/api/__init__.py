@@ -22,17 +22,3 @@ Modules:
 * :mod:`repro.api.wire` — protocol-version-1 envelopes for the
   newline-delimited JSON wire format.
 """
-
-from repro.api.errors import ApiError, BadRequest, UnknownCommand, VersionError
-from repro.api.registry import REGISTRY, CommandSpec
-from repro.api.session import Session
-
-__all__ = [
-    "ApiError",
-    "BadRequest",
-    "UnknownCommand",
-    "VersionError",
-    "REGISTRY",
-    "CommandSpec",
-    "Session",
-]

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 from repro.api.codec import SCALARS, SHAPES, Shape, canonical_json, decode_record, shape
 from repro.api.errors import BadRequest
-from repro.api.registry import REGISTRY
-from repro.api.types import PROTOCOL_VERSION
+from repro.api.wire import PROTOCOL_VERSION
 
 
 @dataclass(frozen=True)
@@ -98,22 +97,28 @@ def _fields(cls: type, types_out: dict[str, TypeSchema]):
     )
 
 
+#: Every module that defines an error code.  Exception families
+#: register by being imported, so the manifest imports them all rather
+#: than list whichever ones this process happens to have loaded.
+_ERROR_MODULES = (
+    "repro.api.errors",
+    "repro.cellstore.errors",
+    "repro.cif.errors",
+    "repro.composition.cell",
+    "repro.composition.format",
+    "repro.core.errors",
+    "repro.rest.errors",
+    "repro.service.errors",
+    "repro.sticks.errors",
+)
+
+
 def _error_codes() -> tuple[str, ...]:
     """Every stable dotted code an error response may carry."""
     from repro.errors import ReproError
 
-    # Exception families register by being imported; pull in the ones a
-    # service deployment can raise (tolerating optional subsystems).
-    for module in (
-        "repro.api.errors",
-        "repro.core.errors",
-        "repro.cellstore.errors",
-        "repro.service.errors",
-    ):
-        try:
-            __import__(module)
-        except ImportError:  # pragma: no cover - optional subsystem
-            pass
+    for module in _ERROR_MODULES:
+        __import__(module)
     codes = {"args.key", "args.value", "internal"}
     stack = [ReproError]
     while stack:
@@ -128,7 +133,10 @@ def _error_codes() -> tuple[str, ...]:
 def build_manifest(control: dict | None = None) -> Manifest:
     """The manifest for the registry, plus ``control`` when given (the
     server passes :data:`repro.service.control.CONTROL` so the control
-    plane describes itself too)."""
+    plane describes itself too).  The registry is imported here, not at
+    module level, so a supervisor loads it only when a client asks."""
+    from repro.api.registry import REGISTRY
+
     types_out: dict[str, TypeSchema] = {}
     commands = []
     for name, spec in sorted(REGISTRY.items()):

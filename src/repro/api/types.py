@@ -16,9 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: The protocol generation these dataclasses define.  Bump only with a
-#: deliberate, documented break; the wire layer rejects anything else.
-PROTOCOL_VERSION = 1
+from repro.api.wire import PROTOCOL_VERSION  # noqa: F401 - the version these types speak
 
 
 # -- environment: files, plots, reports ------------------------------------

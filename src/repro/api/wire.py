@@ -37,8 +37,13 @@ from dataclasses import dataclass
 
 from repro.api.codec import canonical_json, dumps, from_jsonable, to_jsonable
 from repro.api.errors import BadRequest, VersionError
-from repro.api.types import PROTOCOL_VERSION
 from repro.errors import ReproError, error_code
+
+#: The protocol generation of every envelope and of the dataclasses in
+#: :mod:`repro.api.types`.  Bump only with a deliberate, documented
+#: break; :func:`parse_request` and :func:`parse_response` reject
+#: anything else.
+PROTOCOL_VERSION = 1
 
 
 @dataclass(frozen=True)

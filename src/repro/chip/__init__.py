@@ -9,20 +9,3 @@ The functions here drive the editor through exactly the command
 sequences the paper describes, and return the measurements the
 benchmarks report.
 """
-
-from repro.chip.floorplan import Floorplan, filter_floorplan
-from repro.chip.filterchip import (
-    AssemblyStats,
-    ChipStats,
-    assemble_chip,
-    assemble_logic,
-)
-
-__all__ = [
-    "Floorplan",
-    "filter_floorplan",
-    "AssemblyStats",
-    "ChipStats",
-    "assemble_logic",
-    "assemble_chip",
-]

@@ -12,39 +12,3 @@ be performed on CIF cells."  We adopt the MOSIS-style user commands:
 * ``9 name;``                     — names the enclosing symbol;
 * ``94 name x y layer width;``    — declares a connector.
 """
-
-from repro.cif.errors import CifError
-from repro.cif.nodes import (
-    BoxCommand,
-    CallCommand,
-    CifFile,
-    DeleteCommand,
-    LayerCommand,
-    PolygonCommand,
-    RoundFlashCommand,
-    SymbolDefinition,
-    UserCommand,
-    WireCommand,
-)
-from repro.cif.parser import parse_cif
-from repro.cif.semantics import CifCell, CifConnector, elaborate
-from repro.cif.writer import write_cif
-
-__all__ = [
-    "CifError",
-    "CifFile",
-    "SymbolDefinition",
-    "BoxCommand",
-    "PolygonCommand",
-    "WireCommand",
-    "RoundFlashCommand",
-    "LayerCommand",
-    "CallCommand",
-    "UserCommand",
-    "DeleteCommand",
-    "parse_cif",
-    "elaborate",
-    "CifCell",
-    "CifConnector",
-    "write_cif",
-]

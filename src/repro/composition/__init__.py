@@ -8,39 +8,3 @@ and a list of instances"; an instance is "a pointer to the defining
 cell with a transformation, replication counts, and replication
 spacings".
 """
-
-from repro.composition.connector import (
-    BOTTOM,
-    INSIDE,
-    LEFT,
-    RIGHT,
-    TOP,
-    Connector,
-    classify_side,
-    opposed,
-)
-from repro.composition.cell import CompositionCell, LeafCell
-from repro.composition.instance import Instance, InstanceConnector
-from repro.composition.library import CellLibrary
-from repro.composition.netcheck import ConnectionReport, check_connections
-from repro.composition.format import load_composition, save_composition
-
-__all__ = [
-    "Connector",
-    "classify_side",
-    "opposed",
-    "LEFT",
-    "RIGHT",
-    "TOP",
-    "BOTTOM",
-    "INSIDE",
-    "LeafCell",
-    "CompositionCell",
-    "Instance",
-    "InstanceConnector",
-    "CellLibrary",
-    "check_connections",
-    "ConnectionReport",
-    "load_composition",
-    "save_composition",
-]

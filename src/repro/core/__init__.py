@@ -19,15 +19,3 @@ completion of a cell."
 * :mod:`repro.core.convert` — composition to CIF (masks) and to
   Sticks (simulation).
 """
-
-from repro.core.errors import ConnectionError_, RiotError
-from repro.core.editor import RiotEditor
-from repro.core.pending import PendingConnection, PendingList
-
-__all__ = [
-    "RiotError",
-    "ConnectionError_",
-    "RiotEditor",
-    "PendingConnection",
-    "PendingList",
-]

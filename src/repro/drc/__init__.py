@@ -8,7 +8,3 @@ package is the checking pass a Riot user ran over the generated CIF
 before tape-out: per-layer minimum width and minimum spacing over the
 flattened rectangles.
 """
-
-from repro.drc.engine import DrcReport, DrcViolation, check_geometry
-
-__all__ = ["check_geometry", "DrcReport", "DrcViolation"]

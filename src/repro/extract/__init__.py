@@ -7,7 +7,3 @@ Riot user performed (or wished they could) before trusting a
 composition: do the pads actually reach the cells they were routed
 to?
 """
-
-from repro.extract.netlist import MaskNetlist, extract_netlist
-
-__all__ = ["extract_netlist", "MaskNetlist"]

@@ -9,34 +9,3 @@ by bond pads — and ``assemble_floorplan`` drives the typed command API
 to place and connect it, choosing abut-vs-stretch-vs-route per edge
 through a pluggable :class:`AssemblyStrategy`.
 """
-
-from repro.floorplan.assemble import FloorplanReport, assemble_floorplan
-from repro.floorplan.checks import run_floorplan_checks
-from repro.floorplan.generator import (
-    TIERS,
-    Tier,
-    gen_floorplan_case,
-    install_palette,
-)
-from repro.floorplan.strategy import (
-    STRATEGIES,
-    AssemblyStrategy,
-    GreedyStrategy,
-    RouteOnlyStrategy,
-    make_strategy,
-)
-
-__all__ = [
-    "TIERS",
-    "Tier",
-    "gen_floorplan_case",
-    "install_palette",
-    "assemble_floorplan",
-    "FloorplanReport",
-    "run_floorplan_checks",
-    "AssemblyStrategy",
-    "GreedyStrategy",
-    "RouteOnlyStrategy",
-    "STRATEGIES",
-    "make_strategy",
-]

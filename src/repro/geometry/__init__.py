@@ -7,23 +7,3 @@ centimicrons, the eight-element orientation group used by CIF and by
 Riot's instance transforms, wire paths, polygons and the layer /
 technology registry.
 """
-
-from repro.geometry.point import Point
-from repro.geometry.box import Box
-from repro.geometry.orientation import Orientation
-from repro.geometry.transform import Transform
-from repro.geometry.path import Path
-from repro.geometry.polygon import Polygon
-from repro.geometry.layers import Layer, Technology, nmos_technology
-
-__all__ = [
-    "Point",
-    "Box",
-    "Orientation",
-    "Transform",
-    "Path",
-    "Polygon",
-    "Layer",
-    "Technology",
-    "nmos_technology",
-]

@@ -11,22 +11,3 @@ backends (SVG, HP-GL-style plotter commands, ASCII art).
 Everything renders deterministically with no display attached, which
 is what lets the interactive editor run under test.
 """
-
-from repro.graphics.color import PALETTE, color_name, layer_color
-from repro.graphics.framebuffer import FrameBuffer
-from repro.graphics.viewport import Viewport
-from repro.graphics.display import Display, HitResult
-from repro.graphics.svg import SvgCanvas
-from repro.graphics.plotter import PenPlotter
-
-__all__ = [
-    "PALETTE",
-    "color_name",
-    "layer_color",
-    "FrameBuffer",
-    "Viewport",
-    "Display",
-    "HitResult",
-    "SvgCanvas",
-    "PenPlotter",
-]

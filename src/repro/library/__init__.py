@@ -12,15 +12,3 @@ This package authors those cells the same way: pads as CIF *text*
 through the Sticks reader), plus the "pre-defined pipe fittings [that]
 aid complex routes for power, ground and clock lines".
 """
-
-from repro.library.pads import pads_cif_text
-from repro.library.gates import logic_sticks_text
-from repro.library.fittings import fittings_sticks_text
-from repro.library.stock import filter_library
-
-__all__ = [
-    "pads_cif_text",
-    "logic_sticks_text",
-    "fittings_sticks_text",
-    "filter_library",
-]

@@ -24,7 +24,3 @@ Modules:
 * :mod:`repro.obs.export` — JSONL event export and Chrome trace-event
   format (opens directly in Perfetto / ``chrome://tracing``).
 """
-
-from repro.obs import clock, export, metrics, trace
-
-__all__ = ["clock", "export", "metrics", "trace"]

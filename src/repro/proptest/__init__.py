@@ -20,20 +20,3 @@ scenarios instead of hand-picked examples:
 Everything is dependency-free (stdlib only), like the rest of the
 reproduction.
 """
-
-from __future__ import annotations
-
-from repro.proptest.oracles import ORACLES, Oracle, OracleFailure
-from repro.proptest.prng import Rng
-from repro.proptest.runner import main, run_fuzz
-from repro.proptest.shrink import shrink_case
-
-__all__ = [
-    "ORACLES",
-    "Oracle",
-    "OracleFailure",
-    "Rng",
-    "main",
-    "run_fuzz",
-    "shrink_case",
-]

@@ -15,15 +15,3 @@ same engine: one-dimensional constraint-graph compaction.
   with optional pinned connector positions.
 * :mod:`repro.rest.stretch` — the stretch entry point Riot calls.
 """
-
-from repro.rest.errors import InfeasibleConstraints
-from repro.rest.graph import ConstraintGraph
-from repro.rest.compactor import compact
-from repro.rest.stretch import stretch_pins
-
-__all__ = [
-    "InfeasibleConstraints",
-    "ConstraintGraph",
-    "compact",
-    "stretch_pins",
-]

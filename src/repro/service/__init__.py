@@ -9,7 +9,8 @@ journal, and trace/metrics scope.  The wire protocol is version 1 of
 talkable with ``nc``.
 
 Two deployment shapes, same wire format, one socket front end
-(:mod:`repro.service.frontend`):
+(:mod:`repro.service.frontend`), both started by
+:mod:`repro.service.serve`:
 
 * single process — :mod:`repro.service.server`
   (``python -m repro serve``);
@@ -26,40 +27,3 @@ backoff and the crash-loop circuit breaker) and
 :mod:`repro.service.chaos` (deterministic fault injection via
 ``REPRO_CHAOS``).
 """
-
-from repro.service.chaos import ChaosPolicy
-from repro.service.client import NO_RETRY, RetryPolicy, ServiceClient
-from repro.service.errors import (
-    BackpressureError,
-    BadSessionName,
-    OverloadedError,
-    ServiceError,
-    ServiceTimeout,
-    SessionLimitError,
-    ShardFailedError,
-    ShutdownError,
-)
-from repro.service.health import RestartGovernor
-from repro.service.server import RiotService, ServiceThread
-from repro.service.supervisor import HashRing, Supervisor, SupervisorThread
-
-__all__ = [
-    "BackpressureError",
-    "BadSessionName",
-    "ChaosPolicy",
-    "HashRing",
-    "NO_RETRY",
-    "OverloadedError",
-    "RestartGovernor",
-    "RetryPolicy",
-    "RiotService",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceThread",
-    "ServiceTimeout",
-    "SessionLimitError",
-    "ShardFailedError",
-    "ShutdownError",
-    "Supervisor",
-    "SupervisorThread",
-]

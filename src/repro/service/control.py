@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from repro.api.errors import UnknownCommand
 from repro.api.manifest import Manifest
-from repro.api.types import PROTOCOL_VERSION
+from repro.api.wire import PROTOCOL_VERSION
 
 
 @dataclass(frozen=True)
@@ -144,6 +144,11 @@ class ShardTelemetry:
     #: ``None`` until the first telemetry heartbeat answers (or while
     #: the shard is down).
     metrics: dict | None
+
+
+#: How many slowest and errored requests a flight recorder keeps, and
+#: how many of each ``service.telemetry`` answers with.
+FLIGHT_KEEP = 32
 
 
 @dataclass(frozen=True)

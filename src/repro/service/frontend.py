@@ -36,7 +36,6 @@ from repro.api import wire
 from repro.api.codec import from_jsonable
 from repro.api.errors import BadRequest
 from repro.api.manifest import build_manifest
-from repro.api.types import PROTOCOL_VERSION
 from repro.errors import ReproError
 from repro.service import control
 from repro.service.errors import (
@@ -191,7 +190,7 @@ class LineServer:
 
     async def _on_hello(self, request) -> control.HelloResult:
         return control.HelloResult(
-            version=PROTOCOL_VERSION,
+            version=wire.PROTOCOL_VERSION,
             server=self.process_label,
             capabilities=self.capabilities,
         )

@@ -26,6 +26,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+#: The line a shard prints on stdout at its first acknowledged session
+#: command of each life
+#: (:meth:`repro.service.server.RiotService.note_progress`): the
+#: evidence of progress this policy judges a death by.
+PROGRESS = "progress"
+
 
 @dataclass(frozen=True)
 class RestartDecision:

@@ -70,10 +70,9 @@ from pathlib import Path
 
 from repro.api import wire
 from repro.api.codec import from_jsonable
-from repro.api.types import PROTOCOL_VERSION
 from repro.errors import ReproError
 from repro.obs import metrics
-from repro.service import control, telemetry
+from repro.service import control
 from repro.service.errors import (
     OverloadedError,
     ServiceError,
@@ -81,11 +80,7 @@ from repro.service.errors import (
     ShardFailedError,
 )
 from repro.service.frontend import LineServer
-from repro.service.health import RestartGovernor
-from repro.service.server import PROGRESS, ServiceThread
-
-#: The in-process harness runs a supervisor when given ``shards=``.
-SupervisorThread = ServiceThread
+from repro.service.health import PROGRESS, RestartGovernor
 
 #: Extra margin on the first restart's ``retry_after_ms`` hint: rough
 #: worst-case interpreter start + listen time for a shard subprocess.
@@ -595,7 +590,7 @@ class Supervisor(LineServer):
 
     async def _on_ping(self, request) -> control.PingResult:
         return control.PingResult(
-            version=PROTOCOL_VERSION,
+            version=wire.PROTOCOL_VERSION,
             sessions=len(self.session_shard),
             metrics=self._own_telemetry() if request.telemetry else None,
         )
@@ -642,8 +637,8 @@ class Supervisor(LineServer):
                     slowest.extend(result.slowest)
                     errored.extend(result.errored)
             slowest.sort(key=lambda r: -r.total_us)
-            del slowest[telemetry.FLIGHT_KEEP:]
-            del errored[telemetry.FLIGHT_KEEP:]
+            del slowest[control.FLIGHT_KEEP:]
+            del errored[control.FLIGHT_KEEP:]
         return control.TelemetryResult(
             process=self.process_label,
             pid=os.getpid(),

@@ -47,6 +47,7 @@ import threading
 
 from repro.api.registry import REGISTRY
 from repro.obs.metrics import MetricsRegistry
+from repro.service.control import FLIGHT_KEEP
 
 #: Stage names in request order (the rendering order of ``repro top``).
 STAGES: tuple[str, ...] = (
@@ -82,10 +83,6 @@ def command_class(method: str) -> str:
     if spec.readonly:
         return "read"
     return "edit" if spec.replayable else "io"
-
-
-#: How many slowest and errored requests a flight recorder keeps.
-FLIGHT_KEEP = 32
 
 
 def us(seconds: float) -> int:

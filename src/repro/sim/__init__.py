@@ -8,7 +8,3 @@ cells Riot composes (and the flattened Sticks Riot writes for
 simulation), extracts transistors and nets, and evaluates logic
 levels by strength-resolved relaxation.
 """
-
-from repro.sim.switch import SwitchCircuit, simulate_truth_table
-
-__all__ = ["SwitchCircuit", "simulate_truth_table"]

@@ -7,21 +7,3 @@ committed design-rule spacing.  Riot reads Sticks leaf cells, writes
 Sticks for simulation, builds its river-route cells as Sticks cells,
 and stretches Sticks cells through the REST optimizer.
 """
-
-from repro.sticks.errors import SticksError
-from repro.sticks.model import Contact, Device, Pin, SticksCell, SymbolicWire
-from repro.sticks.parser import parse_sticks
-from repro.sticks.writer import write_sticks
-from repro.sticks.expand import expand_to_cif
-
-__all__ = [
-    "SticksError",
-    "SticksCell",
-    "Pin",
-    "SymbolicWire",
-    "Device",
-    "Contact",
-    "parse_sticks",
-    "write_sticks",
-    "expand_to_cif",
-]

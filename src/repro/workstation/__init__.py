@@ -9,18 +9,3 @@ substitutes event-level emulations.  Riot's algorithms only ever see
 event streams exercise exactly the code paths the physical devices
 did — deterministically, under test.
 """
-
-from repro.workstation.events import ButtonPress, Event, KeyLine, PointerMove
-from repro.workstation.devices import BitPad, Mouse, Workstation, charles_workstation, gigi_workstation
-
-__all__ = [
-    "Event",
-    "PointerMove",
-    "ButtonPress",
-    "KeyLine",
-    "Mouse",
-    "BitPad",
-    "Workstation",
-    "charles_workstation",
-    "gigi_workstation",
-]

@@ -10,8 +10,13 @@ rejected.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +32,10 @@ from .test_wire import sample_instance
 
 MANIFEST = build_manifest(CONTROL)
 CODEC = ManifestCodec(MANIFEST)
+
+#: sha256 of ``canonical_json(build_manifest(CONTROL))``: 21,205 bytes.
+#: A new command, field or error code changes it on purpose.
+MANIFEST_SHA256 = "5efcb02d0d68d7cdd67d839be4b026ab56537fc3ccafdf6c6b6e306ee362dad3"
 
 
 def sample_node(node, depth: int):
@@ -99,6 +108,29 @@ class TestManifestShape:
             "service.overloaded",
             "service.shard_failed",
         } <= codes
+
+    def test_bytes_do_not_depend_on_what_the_process_imported(self):
+        # A supervisor has loaded only the manifest and the control
+        # table when its first service.describe builds the manifest.
+        fresh = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys\n"
+                "from repro.api.manifest import build_manifest, canonical_json\n"
+                "from repro.service.control import CONTROL\n"
+                "sys.stdout.write(canonical_json(build_manifest(CONTROL)))",
+            ],
+            capture_output=True,
+            timeout=120,
+            check=True,
+            env={
+                **os.environ,
+                "PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src"),
+            },
+        ).stdout
+        assert fresh == canonical_json(MANIFEST).encode()
+        assert hashlib.sha256(fresh).hexdigest() == MANIFEST_SHA256
 
     def test_manifest_travels_protocol_v1(self):
         encoded = canonical_json(MANIFEST)
@@ -175,7 +207,7 @@ class TestDescribeEndToEnd:
         # The full loop: fetch the manifest with service.describe, then
         # speak the protocol from it alone over a bare socket.
         from repro.service.client import ServiceClient
-        from repro.service.server import ServiceThread
+        from repro.service.serve import ServiceThread
 
         with ServiceThread() as srv:
             host, port = srv.address

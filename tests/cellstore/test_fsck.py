@@ -103,18 +103,18 @@ class TestSigkillDuringPublish:
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (env.get("PYTHONPATH"), "src") if p
         )
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-c", PUBLISHER, str(root)],
             stdout=subprocess.PIPE,
             env=env,
-        )
-        try:
-            # Wait for the first publish so the kill hits a busy store.
-            assert proc.stdout.readline().strip() == b"started"
-            time.sleep(0.2)
-        finally:
-            proc.send_signal(signal.SIGKILL)
-            proc.wait(timeout=10)
+        ) as proc:
+            try:
+                # Wait for the first publish so the kill hits a busy store.
+                assert proc.stdout.readline().strip() == b"started"
+                time.sleep(0.2)
+            finally:
+                proc.send_signal(signal.SIGKILL)
+                proc.wait(timeout=10)
 
         # fsck --repair must always converge to a clean store...
         report = fsck(root, repair=True)

@@ -15,7 +15,7 @@ from repro.api.session import Session
 from repro.core.editor import RiotEditor
 from repro.core.textual import TextualInterface
 from repro.service.client import ServiceClient
-from repro.service.server import ServiceThread
+from repro.service.serve import ServiceThread
 
 
 class TestTypedDispatch:

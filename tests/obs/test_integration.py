@@ -47,11 +47,18 @@ SESSION = [
 
 
 @pytest.fixture()
-def traced_session(tmp_path):
-    tracer = obs_trace.enable(obs_trace.Tracer(clock=FixedClock()))
+def journaled(tmp_path):
+    """A session journaling to ``session.rpl``, closed after the test."""
     interface = session_interface(tmp_path)
+    yield interface
+    interface.editor.journal.writer.close()
+
+
+@pytest.fixture()
+def traced_session(journaled):
+    tracer = obs_trace.enable(obs_trace.Tracer(clock=FixedClock()))
     for line in SESSION:
-        response = interface.execute(line)
+        response = journaled.execute(line)
         assert not response.startswith("error"), f"{line}: {response}"
     obs_trace.disable()
     return tracer
@@ -132,11 +139,10 @@ class TestSessionTrace:
 
 
 class TestRollback:
-    def test_failed_command_rolls_back_and_marks_span(self, tmp_path):
+    def test_failed_command_rolls_back_and_marks_span(self, journaled):
         tracer = obs_trace.enable(obs_trace.Tracer(clock=FixedClock()))
-        interface = session_interface(tmp_path)
-        interface.execute("new demo")
-        assert interface.execute("create nosuch 0 0").startswith("error")
+        journaled.execute("new demo")
+        assert journaled.execute("create nosuch 0 0").startswith("error")
         obs_trace.disable()
         snap = obs_metrics.registry().snapshot()
         assert snap["editor.rollbacks"] == 1

@@ -86,3 +86,4 @@ def test_failed_route_with_empty_pending_adds_no_entry(tmp_path):
         pass
     # Nothing was cleared, so nothing extra may be journalled.
     assert len(editor.journal.entries) == before
+    editor.journal.writer.close()

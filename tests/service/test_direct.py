@@ -3,7 +3,7 @@ handshake, direct traffic bypassing the supervisor, the supervisor
 executing no session command, lease-generation staleness after a shard
 restart, route retries through a kill, and the chaos crash-point
 invariant on the direct path — all against real shard subprocesses
-via :class:`SupervisorThread`."""
+via :class:`ServiceThread`."""
 
 from __future__ import annotations
 
@@ -17,7 +17,8 @@ from repro.api.types import PROTOCOL_VERSION
 from repro.core import wal
 from repro.errors import ReproError
 from repro.service.client import NO_RETRY, RetryPolicy, ServiceClient
-from repro.service.supervisor import HashRing, SupervisorThread
+from repro.service.serve import ServiceThread
+from repro.service.supervisor import HashRing
 
 #: Retry schedule used by tests that ride out a shard restart.
 PATIENT = RetryPolicy(
@@ -59,7 +60,7 @@ def wait_for_restart(
 @pytest.fixture(scope="module")
 def sup(tmp_path_factory):
     journal_dir = tmp_path_factory.mktemp("direct-wals")
-    with SupervisorThread(shards=2, journal_dir=journal_dir) as srv:
+    with ServiceThread(shards=2, journal_dir=journal_dir) as srv:
         yield srv
 
 
@@ -143,7 +144,7 @@ def long_lease(tmp_path_factory):
     # A lease long enough that it is still cached — and stale — after
     # the kill/restart cycle these tests stage.
     journal_dir = tmp_path_factory.mktemp("stale-wals")
-    with SupervisorThread(
+    with ServiceThread(
         shards=2, journal_dir=journal_dir, route_lease=60.0
     ) as srv:
         yield srv
@@ -205,7 +206,7 @@ class TestStaleLease:
 class TestFailover:
     def test_kill_mid_burst_fails_over_then_re_redirects(self, tmp_path):
         name = "dr-failover"
-        with SupervisorThread(
+        with ServiceThread(
             shards=1, journal_dir=tmp_path, route_lease=30.0
         ) as srv:
             with client_for(srv, session=name) as client:
@@ -285,7 +286,7 @@ SLOW_RESTART = {"base_delay": 2.0, "max_delay": 2.0}
 class TestDownShardRoute:
     def test_route_to_a_killed_shard_answers_shard_failed(self, tmp_path):
         name = "dr-down"
-        with SupervisorThread(
+        with ServiceThread(
             shards=1, journal_dir=tmp_path, governor_kwargs=SLOW_RESTART
         ) as srv:
             with client_for(srv, session=name) as client:
@@ -301,7 +302,7 @@ class TestDownShardRoute:
         self, tmp_path
     ):
         name = "dr-down-io"
-        with SupervisorThread(
+        with ServiceThread(
             shards=1, journal_dir=tmp_path, governor_kwargs=SLOW_RESTART
         ) as srv:
             with client_for(srv, session=name) as client:
@@ -339,7 +340,7 @@ class TestChaosCrashPointDirect:
             for i in range(4)
         ]
         acked = []
-        with SupervisorThread(shards=1, journal_dir=tmp_path) as srv:
+        with ServiceThread(shards=1, journal_dir=tmp_path) as srv:
             with client_for(srv, session=name, retry=NO_RETRY) as client:
                 failure = None
                 for method, params in commands:
@@ -361,7 +362,7 @@ class TestChaosCrashPointDirect:
     ):
         monkeypatch.setenv("REPRO_CHAOS", "kill-shard-after:3")
         name = "dr-storm"
-        with SupervisorThread(shards=1, journal_dir=tmp_path) as srv:
+        with ServiceThread(shards=1, journal_dir=tmp_path) as srv:
             with client_for(srv, session=name) as client:
                 client.call("new_cell", name="top")
                 for i in range(6):

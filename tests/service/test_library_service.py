@@ -15,7 +15,7 @@ from repro.core.editor import RiotEditor
 from repro.errors import ReproError
 from repro.library.stock import filter_library
 from repro.service.client import ServiceClient
-from repro.service.server import ServiceThread
+from repro.service.serve import ServiceThread
 
 
 @pytest.fixture

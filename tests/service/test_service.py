@@ -16,7 +16,7 @@ from repro.api.wire import encode_request, parse_response
 from repro.core import wal
 from repro.errors import ReproError
 from repro.service.client import ServiceClient
-from repro.service.server import ServiceThread
+from repro.service.serve import ServiceThread
 
 
 def call_error_code(client: ServiceClient, method: str, **params) -> str:

@@ -1,7 +1,7 @@
 """The supervised sharded service, end to end: consistent-hash
 routing, per-shard stats, admission control, crash detection + restart
 + WAL resume, and the deterministic chaos crash-point invariant — all
-against real shard subprocesses via :class:`SupervisorThread`."""
+against real shard subprocesses via :class:`ServiceThread`."""
 
 from __future__ import annotations
 
@@ -15,7 +15,8 @@ import pytest
 from repro.core import wal
 from repro.errors import ReproError
 from repro.service.client import NO_RETRY, RetryPolicy, ServiceClient
-from repro.service.supervisor import HashRing, SupervisorThread
+from repro.service.serve import ServiceThread
+from repro.service.supervisor import HashRing
 
 #: Retry schedule used by tests that ride out a shard restart.
 PATIENT = RetryPolicy(
@@ -88,7 +89,7 @@ class TestHashRing:
 @pytest.fixture(scope="module")
 def sup(tmp_path_factory):
     journal_dir = tmp_path_factory.mktemp("sup-wals")
-    with SupervisorThread(shards=2, journal_dir=journal_dir) as srv:
+    with ServiceThread(shards=2, journal_dir=journal_dir) as srv:
         yield srv
 
 
@@ -164,7 +165,7 @@ class TestStats:
 
 class TestAdmissionControl:
     def test_global_session_cap(self, tmp_path):
-        with SupervisorThread(shards=2, max_sessions=2) as srv:
+        with ServiceThread(shards=2, max_sessions=2) as srv:
             with client_for(srv, session="one") as c1:
                 c1.call("new_cell", name="a")
             with client_for(srv, session="two") as c2:
@@ -174,7 +175,7 @@ class TestAdmissionControl:
 
     def test_shed_answers_overloaded_with_pacing_hint(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS", "slow-worker:400")
-        with SupervisorThread(shards=1, shed_at=1) as srv:
+        with ServiceThread(shards=1, shed_at=1) as srv:
             with client_for(srv, session="busy", retry=NO_RETRY) as slow:
                 slow.call("new_cell", name="t")  # session is warm
 
@@ -199,7 +200,7 @@ class TestCrashRecovery:
     def test_sigkilled_shard_restarts_and_session_resumes(self, tmp_path):
         ring = HashRing(2)
         name = "phoenix"
-        with SupervisorThread(shards=2, journal_dir=tmp_path) as srv:
+        with ServiceThread(shards=2, journal_dir=tmp_path) as srv:
             with client_for(srv, session=name) as client:
                 client.call("new_cell", name="top")
                 client.call(
@@ -236,7 +237,7 @@ class TestCrashRecovery:
         while ring.shard_for(bystander) == ring.shard_for(victim):
             i += 1
             bystander = f"safe{i}"
-        with SupervisorThread(shards=2, journal_dir=tmp_path) as srv:
+        with ServiceThread(shards=2, journal_dir=tmp_path) as srv:
             with client_for(srv, session=victim) as cv, client_for(
                 srv, session=bystander
             ) as cb:
@@ -271,7 +272,7 @@ class TestChaosCrashPoint:
             for i in range(4)
         ]
         acked = []
-        with SupervisorThread(shards=1, journal_dir=tmp_path) as srv:
+        with ServiceThread(shards=1, journal_dir=tmp_path) as srv:
             with client_for(srv, session=name, retry=NO_RETRY) as client:
                 failure = None
                 for method, params in commands:
@@ -292,7 +293,7 @@ class TestChaosCrashPoint:
     ):
         monkeypatch.setenv("REPRO_CHAOS", "kill-shard-after:3")
         name = "storm"
-        with SupervisorThread(shards=1, journal_dir=tmp_path) as srv:
+        with ServiceThread(shards=1, journal_dir=tmp_path) as srv:
             with client_for(srv, session=name) as client:
                 client.call("new_cell", name="top")
                 for i in range(6):
@@ -323,7 +324,7 @@ class TestCrashLoopBreaker:
         # dies: a productive life each time, so restarts stay prompt
         # and the circuit never opens.
         monkeypatch.setenv("REPRO_CHAOS", "kill-shard-after:1")
-        with SupervisorThread(shards=1) as srv:
+        with ServiceThread(shards=1) as srv:
             governor = srv.service.shards[0].governor
             with client_for(srv, session="looper") as client:
                 for call in range(8):

@@ -19,8 +19,7 @@ from repro.api import wire
 from repro.obs import trace
 from repro.service import telemetry
 from repro.service.client import ServiceClient
-from repro.service.server import ServiceThread
-from repro.service.supervisor import SupervisorThread
+from repro.service.serve import ServiceThread
 from repro.service.telemetry import (
     FlightRecorder,
     TelemetryHub,
@@ -257,7 +256,7 @@ class TestSingleProcessTelemetry:
 @pytest.fixture(scope="module")
 def sharded(tmp_path_factory):
     journal_dir = tmp_path_factory.mktemp("telemetry-wals")
-    with SupervisorThread(shards=2, journal_dir=journal_dir) as srv:
+    with ServiceThread(shards=2, journal_dir=journal_dir) as srv:
         yield srv
 
 
