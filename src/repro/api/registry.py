@@ -20,7 +20,6 @@ from repro.api.errors import UnknownCommand
 from repro.core.errors import RiotError
 from repro.core.replay import REPLAYABLE
 from repro.geometry.point import Point
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
 

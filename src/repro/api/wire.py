@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from repro.api.codec import canonical_json, dumps, from_jsonable, to_jsonable
+from repro.api.codec import dumps, from_jsonable, to_jsonable
 from repro.api.errors import BadRequest, VersionError
 from repro.errors import ReproError, error_code
 

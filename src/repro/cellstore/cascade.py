@@ -187,9 +187,7 @@ def assess_impact(
                 )
             )
         span.set("dependents", len(entries))
-    store.counters["cascades"] += 1
     broken = sum(1 for e in entries if not e.survived)
-    store.counters["impacted"] += broken
     metrics.counter("library.cascades").inc()
     if broken:
         metrics.counter("library.cascade_breaks").inc(broken)

@@ -164,17 +164,6 @@ class CellStore:
         self._offset = 0
         #: A torn (newline-less) tail was seen; the next append truncates it.
         self._torn = False
-        #: Cheap observability for ``service.stats``; the same events
-        #: also land on the obs metrics registry as ``library.*``.
-        self.counters = {
-            "publishes": 0,
-            "conflicts": 0,
-            "deprecations": 0,
-            "resolves": 0,
-            "gets": 0,
-            "cascades": 0,
-            "impacted": 0,
-        }
 
     # -- locking -------------------------------------------------------------
 
@@ -367,13 +356,11 @@ class CellStore:
         with self._locked():
             self._refresh()
             record = self._resolve_locked(parsed)
-        self.counters["resolves"] += 1
         metrics.counter("library.resolves").inc()
         return record
 
     def payload(self, record: CellRecord) -> str:
         """The serialised cell text behind a record (verified)."""
-        self.counters["gets"] += 1
         metrics.counter("library.gets").inc()
         return self._read_blob(record.blob)
 
@@ -459,7 +446,6 @@ class CellStore:
             self._refresh()
             head = self._head_version(name)
             if expected_version is not None and expected_version != head:
-                self.counters["conflicts"] += 1
                 metrics.counter("library.conflicts").inc()
                 raise Conflict(
                     f"cell {name!r} is at version {head}, "
@@ -480,7 +466,6 @@ class CellStore:
                 ),
             )
             self._append(JournalEntry("publish", record.to_kwargs()))
-        self.counters["publishes"] += 1
         metrics.counter("library.publishes").inc()
         return record
 
@@ -498,7 +483,6 @@ class CellStore:
                 self._append(
                     JournalEntry("deprecate", {"name": name, "version": version})
                 )
-                self.counters["deprecations"] += 1
                 metrics.counter("library.deprecations").inc()
         return record
 

@@ -23,7 +23,7 @@ composition requires those leaves to be in the library already.
 
 from __future__ import annotations
 
-from repro.composition.cell import Cell, CompositionCell, CompositionError, LeafCell
+from repro.composition.cell import CompositionCell, CompositionError, LeafCell
 from repro.composition.connector import Connector
 from repro.composition.instance import Instance
 from repro.composition.library import CellLibrary

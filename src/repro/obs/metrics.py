@@ -1,9 +1,13 @@
-"""Process-wide counters, gauges and histograms.
+"""Counters, gauges and histograms, in registries of named instruments.
 
 A flat registry of named instruments, cheap enough to leave on
-permanently (a counter bump is a dict lookup and an add under one
-lock).  The registry is the single source the ``stats`` textual
-command, the ``--metrics`` session flag and the exporters all read.
+permanently: a counter bump is an add under the counter's own lock,
+and a lookup by name takes no lock once the instrument exists.  A
+registry is the single source for whatever reads what it counts: the
+process-wide one (and a session's own, under :func:`scope`) for the
+``stats`` textual command, the ``--metrics`` flag and the exporters;
+a server's own (:class:`repro.service.frontend.LineServer`) for every
+report the service serves.
 
 Naming convention: dotted paths, subsystem first —
 ``river.tracks_used``, ``wal.fsyncs``, ``pipeline.cache.hits``.
@@ -35,9 +39,9 @@ class Counter:
 
     __slots__ = ("value", "_lock")
 
-    def __init__(self, lock: threading.Lock) -> None:
+    def __init__(self) -> None:
         self.value = 0
-        self._lock = lock
+        self._lock = threading.Lock()
 
     def inc(self, n: int = 1) -> None:
         with self._lock:
@@ -49,9 +53,9 @@ class Gauge:
 
     __slots__ = ("value", "_lock")
 
-    def __init__(self, lock: threading.Lock) -> None:
+    def __init__(self) -> None:
         self.value = 0
-        self._lock = lock
+        self._lock = threading.Lock()
 
     def set(self, value) -> None:
         with self._lock:
@@ -68,12 +72,12 @@ class Histogram:
 
     __slots__ = ("count", "total", "min", "max", "_lock")
 
-    def __init__(self, lock: threading.Lock) -> None:
+    def __init__(self) -> None:
         self.count = 0
         self.total = 0
         self.min = None
         self.max = None
-        self._lock = lock
+        self._lock = threading.Lock()
 
     def observe(self, value) -> None:
         with self._lock:
@@ -86,14 +90,7 @@ class Histogram:
 
     def summary(self) -> dict:
         with self._lock:
-            mean = self.total / self.count if self.count else 0
-            return {
-                "count": self.count,
-                "total": self.total,
-                "min": self.min,
-                "max": self.max,
-                "mean": mean,
-            }
+            return _summary(self.count, self.total, self.min, self.max)
 
 
 #: Fixed log-spaced bucket boundaries shared by every
@@ -152,13 +149,13 @@ class QuantileHistogram:
 
     __slots__ = ("count", "total", "min", "max", "_buckets", "_lock")
 
-    def __init__(self, lock: threading.Lock) -> None:
+    def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
         self.min = None
         self.max = None
         self._buckets: dict[int, int] = {}
-        self._lock = lock
+        self._lock = threading.Lock()
 
     def observe(self, value) -> None:
         index = bisect.bisect_left(QUANTILE_BOUNDS, value)
@@ -171,41 +168,20 @@ class QuantileHistogram:
                 self.max = value
             self._buckets[index] = self._buckets.get(index, 0) + 1
 
-    def quantile(self, q: float):
-        with self._lock:
-            return quantile_from_buckets(
-                dict(self._buckets), self.count, self.min, self.max, q
-            )
-
     def summary(self) -> dict:
         """Snapshot dict: scalars, the standard quantile points, and
         the sparse bucket counts (string keys, JSON-ready) that make
         two snapshots mergeable."""
         with self._lock:
-            buckets = dict(self._buckets)
-            count, total = self.count, self.total
-            lo, hi = self.min, self.max
-        out = {
-            "count": count,
-            "total": total,
-            "min": lo,
-            "max": hi,
-            "mean": total / count if count else 0,
-        }
-        for key, q in QUANTILE_POINTS:
-            out[key] = quantile_from_buckets(buckets, count, lo, hi, q)
-        out["buckets"] = {str(i): n for i, n in sorted(buckets.items())}
-        return out
+            return _summary(
+                self.count, self.total, self.min, self.max, dict(self._buckets)
+            )
 
 
-def _merge_histogram_summaries(a: dict, b: dict) -> dict:
-    """Merge two histogram summary dicts (bucket-free or quantile)."""
-    count = a.get("count", 0) + b.get("count", 0)
-    total = a.get("total", 0) + b.get("total", 0)
-    mins = [v for v in (a.get("min"), b.get("min")) if v is not None]
-    maxs = [v for v in (a.get("max"), b.get("max")) if v is not None]
-    lo = min(mins) if mins else None
-    hi = max(maxs) if maxs else None
+def _summary(count, total, lo, hi, buckets: dict | None = None) -> dict:
+    """A histogram's summary dict: the scalars and, given the sparse
+    ``{bucket index: count}`` map of a quantile histogram, the
+    quantile points and the buckets under string keys."""
     out = {
         "count": count,
         "total": total,
@@ -213,15 +189,30 @@ def _merge_histogram_summaries(a: dict, b: dict) -> dict:
         "max": hi,
         "mean": total / count if count else 0,
     }
+    if buckets is not None:
+        for key, q in QUANTILE_POINTS:
+            out[key] = quantile_from_buckets(buckets, count, lo, hi, q)
+        out["buckets"] = {str(k): buckets[k] for k in sorted(buckets, key=int)}
+    return out
+
+
+def _merge_histogram_summaries(a: dict, b: dict) -> dict:
+    """Merge two histogram summary dicts (bucket-free or quantile)."""
+    mins = [v for v in (a.get("min"), b.get("min")) if v is not None]
+    maxs = [v for v in (a.get("max"), b.get("max")) if v is not None]
+    buckets = None
     if "buckets" in a or "buckets" in b:
-        buckets: dict[str, int] = {}
+        buckets = {}
         for src in (a.get("buckets") or {}, b.get("buckets") or {}):
             for key, n in src.items():
                 buckets[key] = buckets.get(key, 0) + n
-        for key, q in QUANTILE_POINTS:
-            out[key] = quantile_from_buckets(buckets, count, lo, hi, q)
-        out["buckets"] = {k: buckets[k] for k in sorted(buckets, key=int)}
-    return out
+    return _summary(
+        a.get("count", 0) + b.get("count", 0),
+        a.get("total", 0) + b.get("total", 0),
+        min(mins) if mins else None,
+        max(maxs) if maxs else None,
+        buckets,
+    )
 
 
 def merge_snapshots(*snapshots: dict) -> dict:
@@ -253,18 +244,20 @@ def merge_snapshots(*snapshots: dict) -> dict:
 
 
 class MetricsRegistry:
-    """Named instruments, created on first use, type-checked on reuse."""
+    """Named instruments, created on first use, type-checked on reuse.
+
+    Each instrument has its own lock; the registry's guards only new
+    names, so finding an existing instrument takes no lock at all."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: dict[str, object] = {}
 
     def _get(self, name: str, kind):
-        with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = self._metrics[name] = kind(self._lock)
-                return metric
+        metric = self._metrics.get(name)
+        if metric is None:
+            with self._lock:
+                metric = self._metrics.setdefault(name, kind())
         if not isinstance(metric, kind):
             raise TypeError(
                 f"metric {name!r} is a {type(metric).__name__}, "
@@ -390,12 +383,13 @@ def quantile_histogram(name: str) -> QuantileHistogram:
 
 # -- export providers -------------------------------------------------------
 
-#: Callables contributing extra entries to the ``--metrics`` export.
-#: The supervisor registers one that flattens the metric snapshots its
-#: shards piggybacked on heartbeats (``shard<i>.`` prefix), so a
-#: sharded run's export covers every process, not just the one holding
-#: the flag.  Providers run only at export time and must return a flat
-#: ``{name: value}`` dict.
+#: Callables contributing entries to the ``--metrics`` export: a
+#: server run from the command line registers its snapshot (see
+#: :meth:`repro.service.frontend.LineServer.export_metrics`), which on
+#: a supervisor carries every shard's under a ``shard<i>.`` prefix, so
+#: a sharded run's export covers every process, not just the one
+#: holding the flag.  Providers run only at export time and must
+#: return a flat ``{name: value}`` dict.
 _export_providers: list = []
 
 
@@ -403,20 +397,14 @@ def register_export_provider(provider) -> None:
     _export_providers.append(provider)
 
 
-def unregister_export_provider(provider) -> None:
-    with contextlib.suppress(ValueError):
-        _export_providers.remove(provider)
-
-
 def export_snapshot() -> dict:
-    """The registry snapshot plus every export provider's entries,
-    key-sorted — what ``--metrics FILE`` actually writes."""
-    out = dict(registry().snapshot())
+    """The registry snapshot merged with every export provider's
+    entries (:func:`merge_snapshots`) — what ``--metrics FILE``
+    actually writes."""
+    snapshots = [registry().snapshot()]
     for provider in list(_export_providers):
         try:
-            extra = provider()
+            snapshots.append(provider() or {})
         except Exception:  # pragma: no cover - a dead provider never
             continue  # blocks the export of everything else
-        for name, value in (extra or {}).items():
-            out.setdefault(name, value)
-    return {name: out[name] for name in sorted(out)}
+    return merge_snapshots(*snapshots)

@@ -26,7 +26,11 @@ from repro.proptest.oracles import ORACLES, OracleFailure
 from repro.proptest.prng import Rng
 from repro.proptest.shrink import failure_predicate, reproducer_json, shrink_case
 
-DEFAULT_CORPUS = os.path.join("tests", "proptest", "corpus")
+#: The repository's saved reproducers, found from this file (in
+#: ``src/repro/proptest``), not the working directory.
+DEFAULT_CORPUS = os.path.abspath(
+    os.path.join(__file__, "../../../../tests/proptest/corpus")
+)
 
 
 def _run_one(oracle, case: dict) -> tuple[str, str | None]:

@@ -95,10 +95,14 @@ class ShardStats:
 class ServiceStatsResult:
     """Service-wide counters.
 
-    The six original fields keep their protocol-v1 meaning (on a
-    supervisor they aggregate over every shard); the defaulted fields
-    were added with sharding and old writers simply omit them —
-    ``pid``/``queued`` describe the answering process, ``shed`` counts
+    Every count field is read from the answering server's metrics
+    snapshot through :data:`STATS_METRICS` (:func:`stats_result`).  A
+    supervisor adds to each its own count (its control traffic) plus
+    the same field of every live shard's answer, so ``connections``,
+    ``requests`` and ``errors`` cover the direct data plane too.  The
+    defaulted fields were added with sharding and old writers simply
+    omit them — ``pid`` describes the answering process, ``queued`` is
+    the commands in flight (summed over shards), ``shed`` counts
     admission-control refusals, ``shard_failures`` counts in-flight
     requests failed by shard deaths, and ``shards`` carries one
     :class:`ShardStats` per worker process (empty single-process)."""
@@ -126,6 +130,42 @@ class ServiceStatsResult:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
+
+
+#: Each count field of :class:`ServiceStatsResult` and the metric it
+#: reads.  ``{server}`` is the answering server's counter prefix
+#: (``service``, or ``supervisor``); the ``library.*`` and
+#: ``pipeline.cache.*`` counts are the sum of its sessions' registries.
+STATS_METRICS: dict[str, str] = {
+    "connections": "{server}.connections",
+    "requests": "{server}.requests",
+    "errors": "{server}.errors",
+    "timeouts": "{server}.timeouts",
+    "backpressure": "{server}.backpressure",
+    "shed": "{server}.shed",
+    "shard_failures": "{server}.shard_failures",
+    "direct_requests": "{server}.direct",
+    "library_publishes": "library.publishes",
+    "library_conflicts": "library.conflicts",
+    "library_cascades": "library.cascades",
+    "cache_hits": "pipeline.cache.hits",
+    "cache_misses": "pipeline.cache.misses",
+    "cache_evictions": "pipeline.cache.evictions",
+}
+
+
+def stats_result(
+    snapshot: dict, server: str, *shards, **fields
+) -> ServiceStatsResult:
+    """``service.stats`` from one server's metrics snapshot: each count
+    field is its metric plus the same field of every shard answer given;
+    ``fields`` sets the rest."""
+    counts = {
+        field: snapshot.get(name.format(server=server), 0)
+        + sum(getattr(shard, field) for shard in shards)
+        for field, name in STATS_METRICS.items()
+    }
+    return ServiceStatsResult(**counts, **fields)
 
 
 @dataclass(frozen=True)
@@ -170,9 +210,11 @@ class FlightRecord:
 class TelemetryResult:
     """The distributed-telemetry view ``service.telemetry`` serves.
 
-    ``metrics`` is the answering process's own view (request-stage
-    quantile histograms under ``rpc.<class>.<stage>`` plus its
-    ``service.*`` counters); on a supervisor, ``shards`` carries each
+    ``metrics`` is the answering process's own view: its server's
+    registry (request-stage quantile histograms under
+    ``rpc.<class>.<stage>`` and the ``service.*`` counters, or a
+    supervisor's ``supervisor.*``), merged with its sessions' and the
+    process registry.  On a supervisor, ``shards`` carries each
     worker's latest snapshot and ``merged`` is the whole-service merge
     of all of them — histograms merge bucket-wise, so the merged
     percentiles are exact over the union of observations."""

@@ -16,7 +16,9 @@ not depend on *where* a session command executes:
   work (:meth:`LineServer._drain`), hang up on open connections;
 * the fault-injection hooks (:mod:`repro.service.chaos`): a swallowed
   ``service.ping`` sends no answer at all, and every answer written
-  reaches the chaos policy's acknowledgement hook.
+  reaches the chaos policy's acknowledgement hook;
+* the server's one metrics registry (:attr:`LineServer.metrics`),
+  which every report the server serves reads.
 
 Subclasses supply :meth:`LineServer._session_command` and the
 handlers.  :class:`repro.service.server.RiotService` — the
@@ -37,6 +39,7 @@ from repro.api.codec import from_jsonable
 from repro.api.errors import BadRequest
 from repro.api.manifest import build_manifest
 from repro.errors import ReproError
+from repro.obs import metrics as obs_metrics
 from repro.service import control
 from repro.service.errors import (
     BadSessionName,
@@ -61,6 +64,9 @@ class LineServer:
 
     #: What ``service.hello`` advertises.
     capabilities: tuple[str, ...] = ("telemetry",)
+    #: This server's counter names start ``service.``, a supervisor's
+    #: ``supervisor.``, so merging them never mixes the two.
+    counter_prefix = "service"
 
     def __init__(
         self,
@@ -79,7 +85,13 @@ class LineServer:
         #: Fault-injection policy (:class:`repro.service.chaos.ChaosPolicy`),
         #: normally ``None``; set by ``REPRO_CHAOS`` runs.
         self.chaos = chaos
-        self.counters = {"connections": 0, "requests": 0, "errors": 0}
+        #: The one place this server counts: its own counters and the
+        #: ``rpc.*`` request histograms.  The loop's counters are bound
+        #: once, so a request line costs no lookup by name.
+        self.metrics = obs_metrics.MetricsRegistry()
+        self._connections = self._counter("connections")
+        self._requests = self._counter("requests")
+        self._errors = self._counter("errors")
         self._handlers = {
             method: getattr(self, "_on_" + method.removeprefix("service."))
             for method in control.CONTROL
@@ -100,6 +112,27 @@ class LineServer:
     async def serve_forever(self) -> None:
         await self._closed.wait()
 
+    def _counter(self, name: str) -> obs_metrics.Counter:
+        return self.metrics.counter(f"{self.counter_prefix}.{name}")
+
+    def metrics_snapshot(self) -> dict:
+        """Everything this server counted (a session server merges in
+        its sessions' registries): the one source of ``service.stats``,
+        ``service.ping``, ``service.telemetry`` and ``--metrics``."""
+        return self.metrics.snapshot()
+
+    def telemetry_snapshot(self) -> dict:
+        """:meth:`metrics_snapshot` merged with the process registry,
+        which holds whatever ran outside a session: what this process
+        reports in ``service.ping`` and ``service.telemetry``."""
+        return obs_metrics.merge_snapshots(
+            obs_metrics.registry().snapshot(), self.metrics_snapshot()
+        )
+
+    def export_metrics(self) -> dict:
+        """This server's entries in the ``--metrics`` export."""
+        return self.metrics_snapshot()
+
     def _admit(self, name: str, open_sessions: int) -> None:
         """Refuse a new session that cannot name a WAL file, or one
         past ``max_sessions``."""
@@ -112,7 +145,7 @@ class LineServer:
     # -- connections --------------------------------------------------------
 
     async def _serve_connection(self, reader, writer) -> None:
-        self.counters["connections"] += 1
+        self._connections.inc()
         self._conn_writers.add(writer)
         write_lock = asyncio.Lock()
         pending: set[asyncio.Task] = set()
@@ -139,7 +172,7 @@ class LineServer:
                 await writer.wait_closed()
 
     async def _serve_line(self, line: bytes, writer, write_lock) -> None:
-        self.counters["requests"] += 1
+        self._requests.inc()
         response = await self._respond(line)
         if response is None:  # chaos swallowed it (drop-heartbeat)
             return
@@ -155,7 +188,7 @@ class LineServer:
         try:
             envelope = wire.parse_request(line)
         except ReproError as exc:
-            self.counters["errors"] += 1
+            self._errors.inc()
             return wire.encode_error(_fish_id(line), exc)
         try:
             if envelope.method.startswith("service."):
@@ -170,7 +203,7 @@ class LineServer:
                 )
             return await self._session_command(envelope)
         except ReproError as exc:
-            self.counters["errors"] += 1
+            self._errors.inc()
             return wire.encode_error(envelope.id, exc)
 
     async def _session_command(self, envelope: wire.RequestEnvelope) -> str:

@@ -18,7 +18,7 @@ import sys
 import threading
 
 from repro.cli import add_obs_flags, obs_from_flags
-from repro.obs import trace
+from repro.obs import metrics, trace
 from repro.service.errors import ServiceError
 
 
@@ -131,6 +131,7 @@ async def _amain(args) -> None:
 
         options["chaos"] = ChaosPolicy.from_env()
     service = await _server(**options).start()
+    metrics.register_export_provider(service.export_metrics)
     print(f"listening on {service.host}:{service.port}", flush=True)
     loop = asyncio.get_running_loop()
     for sig in (signal.SIGINT, signal.SIGTERM):

@@ -145,7 +145,7 @@ class SessionWorker:
                 # back; this session (and every other) continues
                 # untouched.
                 self.failed += 1
-                self.service.counters["errors"] += 1
+                self.service._errors.inc()
                 error_code = wire_error_code(exc)
                 result = None
                 response_exc = exc
@@ -172,7 +172,9 @@ class SessionWorker:
                 # A direct request: the shard's own turnaround, from
                 # enqueue to handler done (queue + handler).
                 stages["direct"] = total_us
-            self.service.telemetry.record_request(
+            telemetry.record_request(
+                self.service.metrics,
+                self.service.recorder,
                 envelope.method,
                 total_us=total_us,
                 stages=stages,
@@ -257,7 +259,7 @@ class SessionWorker:
                 asyncio.shield(future), self.service.timeout
             )
         except asyncio.TimeoutError:
-            self.service.counters["timeouts"] += 1
+            self.service._timeouts.inc()
             return wire.encode_error(
                 envelope.id,
                 ServiceTimeout(
@@ -332,9 +334,9 @@ class RiotService(LineServer):
         #: Commands submitted to any session and not yet finished —
         #: the O(1) process-wide depth the shed check reads.
         self.inflight = 0
-        #: Request-stage histograms + flight recorder, aggregated over
-        #: every session in this process.
-        self.telemetry = telemetry.TelemetryHub(process=process_label)
+        #: The slowest and the errored requests of every session in
+        #: this process, stages attached.
+        self.recorder = telemetry.FlightRecorder()
         self.journal_dir = Path(journal_dir) if journal_dir is not None else None
         #: The shared cell library every session publishes into; the
         #: store's own file lock serializes cross-process publishes, so
@@ -345,17 +347,16 @@ class RiotService(LineServer):
 
             self.cellstore = CellStore(library_dir)
         self.workers: dict[str, SessionWorker] = {}
-        self.counters.update(timeouts=0, backpressure=0, shed=0, direct=0)
+        self._timeouts = self._counter("timeouts")
+        self._backpressure = self._counter("backpressure")
+        self._shed = self._counter("shed")
+        self._direct = self._counter("direct")
         self._progressed = False
 
     async def start(self) -> "RiotService":
         if self.journal_dir is not None:
             self.journal_dir.mkdir(parents=True, exist_ok=True)
         await self._listen()
-        # Session registries are context-scoped, so without this the
-        # process-wide ``--metrics`` export would miss every session's
-        # counters (and the request-stage histograms).
-        obs_metrics.register_export_provider(self._session_metrics)
         return self
 
     def note_progress(self) -> None:
@@ -371,37 +372,22 @@ class RiotService(LineServer):
         with contextlib.suppress(OSError, ValueError):
             print(PROGRESS, flush=True)
 
-    def _session_metrics(self) -> dict:
-        """Everything the process registry alone cannot see: session-
-        scoped registries merged with the telemetry hub."""
-        snaps = [self.telemetry.snapshot()]
-        for worker in self.workers.values():
-            session = worker.session
-            if session is not None and session._metrics is not None:
-                snaps.append(session._metrics.snapshot())
-        return obs_metrics.merge_snapshots(*snaps)
-
-    def telemetry_snapshot(self) -> dict:
-        """This process's full metrics view — process registry, every
-        session's scoped registry, the request-stage histograms, and
-        the service counters — merged into one snapshot (what a shard
-        piggybacks on its heartbeat pong)."""
-        merged = obs_metrics.merge_snapshots(
-            obs_metrics.registry().snapshot(), self._session_metrics()
+    def metrics_snapshot(self) -> dict:
+        """The server's registry merged with its sessions' own, which
+        outlive the drain, so the ``--metrics`` export sees them too."""
+        sessions = [w.session for w in self.workers.values() if w.session]
+        return obs_metrics.merge_snapshots(
+            self.metrics.snapshot(), *(s.metrics.snapshot() for s in sessions)
         )
-        for key, value in self.counters.items():
-            name = f"service.{key}"
-            merged[name] = merged.get(name, 0) + value
-        return {name: merged[name] for name in sorted(merged)}
 
     # -- session commands ----------------------------------------------------
 
     async def _session_command(self, envelope: wire.RequestEnvelope) -> str:
         if envelope.generation is not None:
-            self.counters["direct"] += 1
+            self._direct.inc()
             self._check_lease(envelope)
         if self.shed_at is not None and self.inflight >= self.shed_at:
-            self.counters["shed"] += 1
+            self._shed.inc()
             return wire.encode_error(
                 envelope.id,
                 OverloadedError(
@@ -418,7 +404,7 @@ class RiotService(LineServer):
         try:
             return await worker.execute(envelope)
         except BackpressureError as exc:
-            self.counters["backpressure"] += 1
+            self._backpressure.inc()
             return wire.encode_error(envelope.id, exc)
 
     def _check_lease(self, envelope) -> None:
@@ -473,7 +459,9 @@ class RiotService(LineServer):
     async def _on_telemetry(self, request) -> control.TelemetryResult:
         snapshot = self.telemetry_snapshot()
         slowest, errored = (
-            self.telemetry.flight() if request.slow else ([], [])
+            (self.recorder.slowest(), self.recorder.errored())
+            if request.slow
+            else ([], [])
         )
         return control.TelemetryResult(
             process=self.process_label,
@@ -503,25 +491,12 @@ class RiotService(LineServer):
         )
 
     async def _on_stats(self, request) -> control.ServiceStatsResult:
-        library = self.cellstore.counters if self.cellstore is not None else {}
-        cache = self._cache_counters()
-        return control.ServiceStatsResult(
-            connections=self.counters["connections"],
-            requests=self.counters["requests"],
-            errors=self.counters["errors"],
-            timeouts=self.counters["timeouts"],
-            backpressure=self.counters["backpressure"],
+        return control.stats_result(
+            self.metrics_snapshot(),
+            self.counter_prefix,
             sessions=len(self.workers),
             pid=os.getpid(),
-            queued=sum(w.depth for w in self.workers.values()),
-            shed=self.counters["shed"],
-            direct_requests=self.counters["direct"],
-            library_publishes=library.get("publishes", 0),
-            library_conflicts=library.get("conflicts", 0),
-            library_cascades=library.get("cascades", 0),
-            cache_hits=cache["hits"],
-            cache_misses=cache["misses"],
-            cache_evictions=cache["evictions"],
+            queued=self.inflight,
         )
 
     async def _on_shutdown(self, request) -> control.ShutdownResult:
@@ -534,27 +509,7 @@ class RiotService(LineServer):
             ),
         )
 
-    def _cache_counters(self) -> dict:
-        """Pipeline artifact-cache traffic summed across this process's
-        sessions (each session has its own scoped metrics registry)."""
-        totals = {"hits": 0, "misses": 0, "evictions": 0}
-        for worker in self.workers.values():
-            session = worker.session
-            if session is None:
-                continue
-            snapshot = session.metrics.snapshot()
-            for short in totals:
-                value = snapshot.get(f"pipeline.cache.{short}", 0)
-                if isinstance(value, int):
-                    totals[short] += value
-        return totals
-
     async def _drain(self) -> None:
         """Finish queued commands and checkpoint every WAL."""
         for worker in list(self.workers.values()):
             await worker.stop()
-        # Leave one final merged snapshot behind for the ``--metrics``
-        # export (the scoped session registries die with the workers).
-        final = self._session_metrics()
-        obs_metrics.unregister_export_provider(self._session_metrics)
-        obs_metrics.register_export_provider(lambda: final)

@@ -36,7 +36,7 @@ import sys
 import threading
 
 from repro.cli import add_obs_flags, obs_from_flags
-from repro.obs import trace
+from repro.obs import metrics, trace
 from repro.service.chaos import ChaosPolicy
 from repro.service.server import RiotService
 
@@ -73,6 +73,7 @@ async def amain(args) -> None:
         generation=args.generation,
         shed_at=args.shed_at,
     ).start()
+    metrics.register_export_provider(service.export_metrics)
     print(f"listening on {service.host}:{service.port}", flush=True)
     if not sys.stdin.isatty():
         threading.Thread(

@@ -69,9 +69,9 @@ import sys
 from pathlib import Path
 
 from repro.api import wire
-from repro.api.codec import from_jsonable
+from repro.api.codec import canonical_json, from_jsonable
 from repro.errors import ReproError
-from repro.obs import metrics
+from repro.obs.metrics import merge_snapshots
 from repro.service import control
 from repro.service.errors import (
     OverloadedError,
@@ -173,6 +173,7 @@ class Supervisor(LineServer):
     over a pool of shard subprocesses."""
 
     capabilities = ("direct_routing", "telemetry")
+    counter_prefix = "supervisor"
 
     def __init__(
         self,
@@ -224,7 +225,7 @@ class Supervisor(LineServer):
         self.shards = [ShardHandle(self, i) for i in range(shards)]
         #: session name -> shard index (the admission-control census).
         self.session_shard: dict[str, int] = {}
-        self.counters["shard_failures"] = 0
+        self._shard_failures = self._counter("shard_failures")
         self._heartbeat_tasks: list[asyncio.Task] = []
         self._background: set[asyncio.Task] = set()
 
@@ -239,18 +240,16 @@ class Supervisor(LineServer):
             self._heartbeat_tasks.append(
                 asyncio.ensure_future(self._heartbeat(handle))
             )
-        metrics.register_export_provider(self._telemetry_export)
         return self
 
-    def _telemetry_export(self) -> dict:
-        """The ``--metrics`` contribution beyond the process registry:
-        every shard's latest piggybacked snapshot under a ``shard<i>.``
-        prefix."""
-        return {
-            f"shard{handle.index}.{name}": value
-            for handle in self.shards
-            for name, value in (handle.last_metrics or {}).items()
-        }
+    def export_metrics(self) -> dict:
+        """The supervisor's own counters, and every shard's latest
+        piggybacked snapshot under a ``shard<i>.`` prefix."""
+        out = self.metrics_snapshot()
+        for handle in self.shards:
+            for name, value in (handle.last_metrics or {}).items():
+                out[f"shard{handle.index}.{name}"] = value
+        return out
 
     def _spawn_background(self, coro) -> None:
         task = asyncio.ensure_future(coro)
@@ -398,7 +397,7 @@ class Supervisor(LineServer):
         if handle.writer is not None:
             handle.writer.close()
         pending, handle.pending = handle.pending, {}
-        self.counters["shard_failures"] += len(pending)
+        self._shard_failures.inc(len(pending))
         failure = ShardFailedError(
             f"shard {handle.index} died ({reason}) with this request in "
             "flight; its sessions resume from their WALs after restart",
@@ -412,7 +411,7 @@ class Supervisor(LineServer):
                 future.set_exception(failure)
         if self._closing:
             return
-        metrics.counter("service.shard_restarts").inc()
+        self.metrics.counter("service.shard_restarts").inc()
         handle.restarts += 1
         handle.restart_task = asyncio.ensure_future(
             self._restart(handle, handle.life)
@@ -501,7 +500,7 @@ class Supervisor(LineServer):
         uid = handle.last_id
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         handle.pending[uid] = future
-        line = wire.canonical_json(
+        line = canonical_json(
             wire.RequestEnvelope(
                 method=method, params=params or {}, id=uid, session=session
             )
@@ -592,7 +591,7 @@ class Supervisor(LineServer):
         return control.PingResult(
             version=wire.PROTOCOL_VERSION,
             sessions=len(self.session_shard),
-            metrics=self._own_telemetry() if request.telemetry else None,
+            metrics=self.telemetry_snapshot() if request.telemetry else None,
         )
 
     async def _on_shutdown(self, request) -> control.ShutdownResult:
@@ -604,25 +603,14 @@ class Supervisor(LineServer):
             journaled=sessions if self.journal_dir is not None else 0,
         )
 
-    def _own_telemetry(self) -> dict:
-        """The supervisor process's own metrics: the process registry
-        and the routing counters (prefixed ``supervisor.`` so they never
-        sum with the shards' distinct ``service.*`` counters in a
-        merge)."""
-        merged = dict(metrics.registry().snapshot())
-        for key, value in self.counters.items():
-            name = f"supervisor.{key}"
-            merged[name] = merged.get(name, 0) + value
-        return {name: merged[name] for name in sorted(merged)}
-
     async def _on_telemetry(self, request) -> control.TelemetryResult:
         """The distributed view: refresh every live shard's snapshot
         (a telemetry ping, same as the heartbeat's), then merge.  Every
         request executes on a shard, so the shards' histograms and
         flight records are the whole service's."""
         await asyncio.gather(*(self._refresh_quietly(h) for h in self.shards))
-        own = self._own_telemetry()
-        merged = metrics.merge_snapshots(
+        own = self.telemetry_snapshot()
+        merged = merge_snapshots(
             own, *((h.last_metrics or {}) for h in self.shards)
         )
         slowest: list[control.FlightRecord] = []
@@ -695,34 +683,21 @@ class Supervisor(LineServer):
         return control.SessionsResult(sessions=tuple(merged))
 
     async def _on_stats(self, request) -> control.ServiceStatsResult:
-        # Each command executes in exactly one shard, so summing the
-        # per-shard figures gives the service-wide totals.
-        totals = dict.fromkeys(
-            (
-                "errors",
-                "timeouts",
-                "backpressure",
-                "queued",
-                "shed",
-                "direct_requests",
-                "library_publishes",
-                "library_conflicts",
-                "library_cascades",
-                "cache_hits",
-                "cache_misses",
-                "cache_evictions",
-            ),
-            0,
-        )
-        totals["errors"] = self.counters["errors"]
-        shard_stats: list[control.ShardStats] = []
-        for handle, stats in await self._control_fanout(
+        """The supervisor's own counts plus every live shard's answer,
+        field by field: each session command executes in exactly one
+        shard, so the sum is the service-wide total."""
+        answers = await self._control_fanout(
             "service.stats", control.ServiceStatsResult
-        ):
-            if stats is not None:
-                for key in totals:
-                    totals[key] += getattr(stats, key)
-            shard_stats.append(
+        )
+        live = [stats for _, stats in answers if stats is not None]
+        return control.stats_result(
+            self.metrics_snapshot(),
+            self.counter_prefix,
+            *live,
+            sessions=len(self.session_shard),
+            pid=os.getpid(),
+            queued=sum(stats.queued for stats in live),
+            shards=tuple(
                 control.ShardStats(
                     index=handle.index,
                     pid=handle.pid,
@@ -732,15 +707,8 @@ class Supervisor(LineServer):
                     queued=stats.queued if stats is not None else 0,
                     circuit_open=handle.governor.circuit_open,
                 )
-            )
-        return control.ServiceStatsResult(
-            connections=self.counters["connections"],
-            requests=self.counters["requests"],
-            sessions=len(self.session_shard),
-            pid=os.getpid(),
-            shard_failures=self.counters["shard_failures"],
-            shards=tuple(shard_stats),
-            **totals,
+                for handle, stats in answers
+            ),
         )
 
     # -- shutdown ------------------------------------------------------------

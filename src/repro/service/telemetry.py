@@ -28,16 +28,19 @@ The stage names, in request order:
     the slice of ``handler`` spent inside ``os.fsync`` (measured by the
     :class:`~repro.core.wal.JournalWriter`, attributed per request).
 
-A :class:`TelemetryHub` owns one process's stage histograms plus a
-bounded **flight recorder** of the slowest and the errored requests,
-each with its full stage decomposition — the first place to look when
-a tail latency or an error spike needs a concrete culprit.  Every
+:func:`record_request` writes the histograms into the server's own
+registry (:attr:`repro.service.frontend.LineServer.metrics`, beside
+its ``service.*`` counters; not a session's, which keeps its own
+``stats`` isolated) and adds the request to the server's bounded
+:class:`FlightRecorder` of the slowest and the errored requests, each
+with its full stage decomposition — the first place to look when a
+tail latency or an error spike needs a concrete culprit.  Every
 session command executes on exactly one shard (or the single-process
-server), which records it once.  Shards piggyback their hub snapshots
-on heartbeat pongs; the supervisor keeps the latest per shard and
-merges them (histograms merge bucket-wise,
-see :func:`repro.obs.metrics.merge_snapshots`) into the whole-service
-view ``service.telemetry`` serves.
+server), which records it once.  Shards piggyback their snapshots on
+heartbeat pongs; the supervisor keeps the latest per shard and merges
+them (histograms merge bucket-wise, see
+:func:`repro.obs.metrics.merge_snapshots`) into the whole-service view
+``service.telemetry`` serves.
 """
 
 from __future__ import annotations
@@ -132,67 +135,38 @@ class FlightRecorder:
             return list(reversed(self._errored))
 
 
-class TelemetryHub:
-    """One process's request telemetry: stage histograms + recorder.
-
-    Deliberately *not* the session-scoped metrics registry — sessions
-    keep their own counters isolated (that is a correctness property
-    the ``stats`` command exposes), while the hub aggregates across
-    every session in the process, which is what capacity questions
-    need.
-    """
-
-    def __init__(
-        self, process: str = "server", keep: int = FLIGHT_KEEP
-    ) -> None:
-        self.process = process
-        self.registry = MetricsRegistry()
-        self.recorder = FlightRecorder(keep)
-
-    def record_request(
-        self,
-        method: str,
-        *,
-        total_us: int,
-        stages: dict | None = None,
-        session: str | None = None,
-        shard: int | None = None,
-        trace_id: str | None = None,
-        error: str | None = None,
-    ) -> None:
-        """Fold one finished request into the histograms and, when it
-        is slow or failed, the flight recorder."""
-        cls = command_class(method)
-        self.registry.counter("rpc.requests").inc()
-        if error is not None:
-            self.registry.counter("rpc.errors").inc()
-        for key in (f"rpc.{cls}.total", "rpc.all.total"):
-            self.registry.quantile_histogram(key).observe(total_us / 1e6)
-        for stage, stage_us in (stages or {}).items():
-            if not isinstance(stage_us, (int, float)):
-                continue
-            seconds = stage_us / 1e6
-            self.registry.quantile_histogram(
-                f"rpc.{cls}.{stage}"
-            ).observe(seconds)
-            self.registry.quantile_histogram(
-                f"rpc.all.{stage}"
-            ).observe(seconds)
-        self.recorder.add(
-            {
-                "method": method,
-                "total_us": total_us,
-                "session": session,
-                "shard": shard,
-                "trace_id": trace_id,
-                "stages": dict(stages) if stages else None,
-                "error": error,
-            }
-        )
-
-    def snapshot(self) -> dict:
-        return self.registry.snapshot()
-
-    def flight(self) -> tuple[list[dict], list[dict]]:
-        """(slowest, errored) flight-recorder entries."""
-        return self.recorder.slowest(), self.recorder.errored()
+def record_request(
+    metrics: MetricsRegistry,
+    recorder: FlightRecorder,
+    method: str,
+    *,
+    total_us: int,
+    stages: dict | None = None,
+    session: str | None = None,
+    shard: int | None = None,
+    trace_id: str | None = None,
+    error: str | None = None,
+) -> None:
+    """Fold one finished request into a server's ``rpc.*`` counters
+    and histograms and, when it is slow or failed, its flight
+    recorder."""
+    cls = command_class(method)
+    metrics.counter("rpc.requests").inc()
+    if error is not None:
+        metrics.counter("rpc.errors").inc()
+    for key in (f"rpc.{cls}.total", "rpc.all.total"):
+        metrics.quantile_histogram(key).observe(total_us / 1e6)
+    for stage, stage_us in (stages or {}).items():
+        for key in (f"rpc.{cls}.{stage}", f"rpc.all.{stage}"):
+            metrics.quantile_histogram(key).observe(stage_us / 1e6)
+    recorder.add(
+        {
+            "method": method,
+            "total_us": total_us,
+            "session": session,
+            "shard": shard,
+            "trace_id": trace_id,
+            "stages": dict(stages) if stages else None,
+            "error": error,
+        }
+    )

@@ -14,6 +14,7 @@ from repro.cellstore import (
     NotFound,
 )
 from repro.cellstore.store import text_digest
+from repro.obs import metrics
 
 
 def publish(store, name, payload, **kwargs):
@@ -175,10 +176,12 @@ class TestDurability:
 
 class TestCounters:
     def test_publish_conflict_and_resolve_counters(self, store):
-        publish(store, "nand", "v1")
-        with pytest.raises(Conflict):
-            publish(store, "nand", "v2", expected_version=0)
-        store.resolve("nand")
-        assert store.counters["publishes"] == 1
-        assert store.counters["conflicts"] == 1
-        assert store.counters["resolves"] == 1
+        with metrics.scope(metrics.MetricsRegistry()) as registry:
+            publish(store, "nand", "v1")
+            with pytest.raises(Conflict):
+                publish(store, "nand", "v2", expected_version=0)
+            store.resolve("nand")
+        snapshot = registry.snapshot()
+        assert snapshot["library.publishes"] == 1
+        assert snapshot["library.conflicts"] == 1
+        assert snapshot["library.resolves"] == 1

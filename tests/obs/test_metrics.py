@@ -1,5 +1,8 @@
 """The metrics registry."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.obs import metrics
@@ -71,6 +74,36 @@ class TestRegistry:
         reg.counter("a").inc()
         reg.reset()
         assert reg.snapshot() == {}
+
+    def test_concurrent_updates_lose_nothing(self):
+        # More threads than cores and a short switch interval; every
+        # counter name is first looked up by all the threads at once, so
+        # each must reach the same instrument and every update land.
+        threads, rounds = 8, 2000
+        reg = MetricsRegistry()
+        barrier = threading.Barrier(threads)
+
+        def work():
+            barrier.wait(timeout=30)
+            for i in range(rounds):
+                reg.counter(f"c.{i}").inc()
+                reg.quantile_histogram(f"h.{i % 4}").observe(0.001)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=work) for _ in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        snap = reg.snapshot()
+        assert [snap[f"c.{i}"] for i in range(rounds)] == [threads] * rounds
+        observed = sum(snap[f"h.{k}"]["count"] for k in range(4))
+        assert observed == threads * rounds
 
 
 class TestModuleRegistry:

@@ -11,7 +11,10 @@ import repro.core.river as river_mod
 from repro.proptest.runner import format_summary, run_fuzz
 from tests.proptest.test_shrink import buggy_assign_tracks
 
-REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+REPO_ROOT = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), "..", "..")
+)
+REPO_SRC = os.path.join(REPO_ROOT, "src")
 
 
 def test_identical_runs_are_identical():
@@ -103,7 +106,7 @@ def test_save_writes_reproducers(tmp_path, monkeypatch):
     assert payload["case"]["wires"]
 
 
-def _run_cli(*args):
+def _run_cli(*args, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
@@ -111,6 +114,7 @@ def _run_cli(*args):
         capture_output=True,
         text=True,
         env=env,
+        cwd=cwd,
     )
 
 
@@ -125,6 +129,16 @@ def test_cli_byte_identical_and_exit_zero():
     assert sorted(summary["oracles"]) == [
         "abut", "floorplan", "model", "pipeline", "river", "stretch", "wal",
     ]
+
+
+def test_cli_replays_the_corpus_from_any_working_directory(tmp_path):
+    args = ("--seed", "0", "--cases", "1", "--oracle", "river")
+    runs = [_run_cli(*args, cwd=cwd) for cwd in (REPO_ROOT, tmp_path)]
+    for run in runs:
+        assert run.returncode == 0, run.stderr
+    from_root, from_elsewhere = (json.loads(r.stdout)["corpus"] for r in runs)
+    assert from_root["replayed"] > 0
+    assert from_elsewhere == from_root
 
 
 def test_cli_unknown_oracle_exit_two():

@@ -17,13 +17,14 @@ import pytest
 
 from repro.api import wire
 from repro.obs import trace
+from repro.obs.metrics import MetricsRegistry
 from repro.service import telemetry
 from repro.service.client import ServiceClient
 from repro.service.serve import ServiceThread
 from repro.service.telemetry import (
     FlightRecorder,
-    TelemetryHub,
     command_class,
+    record_request,
     us,
 )
 from repro.service.top import render
@@ -90,14 +91,20 @@ class TestFlightRecorder:
 
 
 class TestTelemetryHub:
+    """The telemetry a server keeps: :func:`record_request` into its
+    registry and its flight recorder."""
+
+    def record(self, method, **kwargs):
+        registry, recorder = MetricsRegistry(), FlightRecorder()
+        record_request(registry, recorder, method, **kwargs)
+        return registry.snapshot(), recorder
+
     def test_records_counts_and_histograms_per_class_and_stage(self):
-        hub = TelemetryHub(process="test")
-        hub.record_request(
+        snap, _ = self.record(
             "rotate",
             total_us=4000,
             stages={"handler": 3000, "fsync": 1000},
         )
-        snap = hub.snapshot()
         assert snap["rpc.requests"] == 1
         assert snap["rpc.all.total"]["count"] == 1
         assert snap["rpc.edit.total"]["count"] == 1
@@ -106,13 +113,12 @@ class TestTelemetryHub:
         assert "rpc.errors" not in snap
 
     def test_errors_count_and_land_in_the_recorder(self):
-        hub = TelemetryHub(process="test")
-        hub.record_request("rotate", total_us=10, error="riot.no_such")
-        snap = hub.snapshot()
+        snap, recorder = self.record(
+            "rotate", total_us=10, error="riot.no_such"
+        )
         assert snap["rpc.errors"] == 1
-        slowest, errored = hub.flight()
-        assert errored[0]["error"] == "riot.no_such"
-        assert slowest[0]["method"] == "rotate"
+        assert recorder.errored()[0]["error"] == "riot.no_such"
+        assert recorder.slowest()[0]["method"] == "rotate"
 
 
 class TestDetachedSpans:
