@@ -10,11 +10,10 @@ invisible to another.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from pathlib import Path as FsPath
 
 from repro.core.errors import RiotError
+from repro.core.wal import atomic_write
 
 
 class MemoryStore(dict):
@@ -33,10 +32,11 @@ class MemoryStore(dict):
 class DiskStore:
     """A file store over the real filesystem, rooted at a directory.
 
-    Writes are atomic: content lands in a sibling temp file, is
-    fsynced, and then renamed over the target with ``os.replace`` — a
-    crash mid-save can never leave a torn composition or CIF file,
-    only the old version or the new one.
+    Files are UTF-8 whatever the locale.  Writes go through the WAL's
+    atomic write (:func:`repro.core.wal.atomic_write`): content lands
+    in a sibling temp file, is fsynced, and then renamed over the
+    target with ``os.replace`` — a crash mid-save can never leave a
+    torn composition or CIF file, only the old version or the new one.
     """
 
     def __init__(self, root: str = ".") -> None:
@@ -46,23 +46,7 @@ class DiskStore:
         target = self.root / name
         if not target.exists():
             raise RiotError(f"no such file {name!r}")
-        return target.read_text()
+        return target.read_text(encoding="utf-8")
 
     def write(self, name: str, content: str) -> None:
-        target = self.root / name
-        target.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=target.parent, prefix=target.name + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as f:
-                f.write(content)
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, target)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(self.root / name, content.encode("utf-8"))

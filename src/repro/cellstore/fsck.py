@@ -5,17 +5,18 @@ every committed record is fsynced, so the only damage a crash can
 leave is a torn final line (a publish that never returned) and orphan
 blobs (content written before the ref line that would have named it).
 ``fsck`` verifies the whole chain — framing CRCs, record shape,
-version sequencing, blob existence and content hashes — and
-``--repair`` atomically rewrites the refs log keeping exactly the
-records that check out, never touching blobs (orphans are harmless:
-content-addressed, reclaimed by a future publish of the same bytes).
+version sequencing, blob existence and content hashes — reading the
+log with the WAL's salvage reader, and ``--repair`` rewrites it with
+the WAL's atomic write (:func:`repro.core.wal.atomic_write`, the
+checkpoint's), keeping exactly the records that check out and never
+touching blobs (orphans are harmless: content-addressed, reclaimed by
+a future publish of the same bytes).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.cellstore.store import (
     STORE_HEADER,
@@ -24,7 +25,7 @@ from repro.cellstore.store import (
     CellStore,
 )
 from repro.core.replay import JournalEntry, journal_text
-from repro.core.wal import load_text
+from repro.core.wal import atomic_write, load_text
 
 
 @dataclass(frozen=True)
@@ -77,8 +78,9 @@ def fsck(root, repair: bool = False) -> FsckReport:
 
     Always safe on a live store: the check holds the store's file lock
     only while reading the log, and repair rewrites it atomically under
-    that lock (readers in other processes detect the rewrite and
-    rebuild their index).
+    that lock.  The rewrite is a new file, so every live store, in
+    this process or another, sees a new inode on its next call and
+    rebuilds its index from the start.
     """
     store = CellStore(root)
     report = FsckReport(path=str(store.root))
@@ -97,7 +99,9 @@ def fsck(root, repair: bool = False) -> FsckReport:
             )
         valid = _validate(store, journal.entries, report)
         if repair and not report.clean:
-            _rewrite(refs_path, valid)
+            atomic_write(
+                refs_path, journal_text(valid, header=STORE_HEADER).encode("utf-8")
+            )
             report.repaired = True
     return report
 
@@ -181,27 +185,3 @@ def _check_blobs(store: CellStore, record: CellRecord) -> FsckIssue | None:
                 f"{record.ref} {label} blob {key[:12]}… fails its hash",
             )
     return None
-
-
-def _rewrite(refs_path: Path, entries: list[JournalEntry]) -> None:
-    """Atomically replace the refs log with exactly ``entries`` —
-    reusing the WAL's checkpoint machinery (temp file + fsync +
-    ``os.replace``)."""
-    import os
-    import tempfile
-
-    fd, tmp = tempfile.mkstemp(
-        dir=refs_path.parent, prefix=refs_path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(journal_text(entries, header=STORE_HEADER).encode("utf-8"))
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, refs_path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise

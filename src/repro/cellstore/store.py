@@ -8,12 +8,15 @@ One directory shared by every session and shard::
 
 The refs log reuses the REPLAY journal's CRC framing
 (:class:`repro.core.replay.JournalEntry` lines under a store-specific
-header), so the crash-safety story is the WAL's: every record is
-fsynced before :meth:`publish` returns, a torn tail from a killed
-writer is detected and truncated by the next writer, and
-:mod:`repro.cellstore.fsck` salvages anything worse.  Payload blobs
-are written (atomic temp + rename + fsync) *before* the ref line that
-names them, so a committed record's content always exists.
+header) and the WAL's code for it — its line check
+(:func:`repro.core.replay.decode_line`) and its appender
+(:class:`repro.core.wal.JournalWriter`) — so the crash-safety story
+is the WAL's: every record is fsynced before :meth:`publish` returns,
+a torn tail from a killed writer is detected and truncated by the
+next writer, and :mod:`repro.cellstore.fsck` salvages anything worse.
+Payload blobs are written with the WAL's atomic write *before* the
+ref line that names them, so a committed record's content always
+exists.
 
 Concurrency is optimistic per cell name: a publish carries the
 ``expected_version`` its author based the edit on, the store assigns
@@ -31,13 +34,14 @@ from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
 import threading
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.cellstore.errors import Conflict, Corrupt, Deprecated, NotFound
 from repro.cellstore.refs import Ref, format_ref, parse_ref
-from repro.core.replay import JournalEntry, line_crc
+from repro.core.replay import JournalEntry, decode_line
+from repro.core.wal import JournalWriter, atomic_write
 from repro.obs import metrics
 
 try:  # POSIX; the store degrades to thread-level locking elsewhere
@@ -45,15 +49,22 @@ try:  # POSIX; the store degrades to thread-level locking elsewhere
 except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None
 
-import json
-from dataclasses import dataclass, field
-
 #: The refs log's header line — same framing as ``# riot replay 2``,
 #: different dialect, so neither file replays as the other.
 STORE_HEADER = "# riot cellstore 1"
 
 #: The refs log's command allowlist (its ``REPLAYABLE`` equivalent).
 STORE_OPS = frozenset({"publish", "deprecate"})
+
+#: The index's ``library.corrupt`` message for each
+#: :func:`repro.core.replay.decode_line` failure of a committed line.
+REFS_FAULTS = {
+    "json": "refs log has an unparseable committed line; "
+    "run 'cellstore fsck --repair'",
+    "command": "refs log line is not a record; run fsck",
+    "crc": "refs log CRC mismatch; run 'cellstore fsck --repair'",
+    "allowlist": "refs log names unknown op {!r}; run fsck",
+}
 
 #: What a published cell may be.
 KINDS = ("sticks", "cif", "composition")
@@ -162,6 +173,9 @@ class CellStore:
         self._index = _Index()
         #: Bytes of refs.wal parsed into the index (complete lines only).
         self._offset = 0
+        #: The inode those bytes were read from: fsck's repair replaces
+        #: the log with a new file.
+        self._inode: int | None = None
         #: A torn (newline-less) tail was seen; the next append truncates it.
         self._torn = False
 
@@ -193,20 +207,18 @@ class CellStore:
 
     # -- the refs log --------------------------------------------------------
 
-    def _reset_index(self) -> None:
-        self._index = _Index()
-        self._offset = 0
-        self._torn = False
-
     def _refresh(self) -> None:
         """Fold any lines appended by other writers into the index."""
         try:
-            size = self._refs.stat().st_size
+            stat = self._refs.stat()
         except OSError:
-            size = 0
-        if size < self._offset:
-            # The log shrank: an fsck repair rewrote it.  Start over.
-            self._reset_index()
+            size, inode = 0, None
+        else:
+            size, inode = stat.st_size, stat.st_ino
+        if self._offset and (size < self._offset or inode != self._inode):
+            # The log was rewritten (an fsck repair): start over.
+            self._index, self._offset = _Index(), 0
+        self._inode = inode
         if size == self._offset:
             self._torn = False
             return
@@ -222,56 +234,27 @@ class CellStore:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            self._index.apply(self._parse_line(line))
+            fault, detail = decode_line(line, STORE_OPS)
+            if fault is not None:
+                raise Corrupt(REFS_FAULTS[fault].format(detail))
+            self._index.apply(detail)
         self._offset += len(complete)
 
-    @staticmethod
-    def _parse_line(line: str) -> JournalEntry:
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError:
-            raise Corrupt(
-                "refs log has an unparseable committed line; run "
-                "'cellstore fsck --repair'"
-            ) from None
-        if not isinstance(data, dict) or "command" not in data:
-            raise Corrupt("refs log line is not a record; run fsck")
-        crc = data.pop("crc", None)
-        if crc is not None and crc != line_crc(data):
-            raise Corrupt("refs log CRC mismatch; run 'cellstore fsck --repair'")
-        command = data.pop("command")
-        if command not in STORE_OPS:
-            raise Corrupt(f"refs log names unknown op {command!r}; run fsck")
-        return JournalEntry(command, data)
-
     def _append(self, entry: JournalEntry) -> None:
-        """Durably append one record (caller holds the lock, index is
-        fresh).  A torn tail left by a killed writer is truncated first
-        — the same self-healing contract as the editor's WAL."""
-        if self._torn:
-            with open(self._refs, "r+b") as f:
-                f.truncate(self._offset)
-                f.flush()
-                os.fsync(f.fileno())
-            self._torn = False
-        data = b""
-        if self._offset == 0 and not self._refs.exists():
-            data += (STORE_HEADER + "\n").encode("utf-8")
-        elif self._offset == 0:
-            try:
-                empty = self._refs.stat().st_size == 0
-            except OSError:
-                empty = True
-            if empty:
-                data += (STORE_HEADER + "\n").encode("utf-8")
-        data += (entry.to_line() + "\n").encode("utf-8")
-        with open(self._refs, "ab") as f:
-            f.write(data)
-            f.flush()
-            os.fsync(f.fileno())
+        """Durably append one record through the WAL's appender (caller
+        holds the lock, index is fresh).  A torn tail left by a killed
+        writer is truncated first — the same self-healing contract as
+        the editor's WAL."""
+        with JournalWriter(self._refs, header=STORE_HEADER) as writer:
+            if self._torn:
+                writer.truncate_to(self._offset)
+            writer.append(entry)
+            self._offset = writer.tell()
+        self._torn = False
+        if self._inode is None:  # this append created the log
+            self._inode = self._refs.stat().st_ino
         metrics.counter("library.refs_appends").inc()
         self._index.apply(entry)
-        self._offset += len(data)
 
     # -- blobs ---------------------------------------------------------------
 
@@ -285,22 +268,7 @@ class CellStore:
         path = self._blob_path(key)
         if path.exists():
             return key  # content-addressed: identical bytes, one blob
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(text.encode("utf-8"))
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, text.encode("utf-8"))
         return key
 
     def _read_blob(self, key: str) -> str:

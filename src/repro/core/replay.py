@@ -86,25 +86,38 @@ class JournalEntry:
         data = {"command": self.command, **self.kwargs}
         return json.dumps({"crc": line_crc(data), **data})
 
-    @classmethod
-    def from_line(cls, line: str, lineno: int) -> "JournalEntry":
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise JournalError(f"replay line {lineno}: {exc}") from None
-        if not isinstance(data, dict) or "command" not in data:
-            raise JournalError(f"replay line {lineno}: missing command")
-        crc = data.pop("crc", None)
-        if crc is not None and crc != line_crc(data):
-            raise JournalError(
-                f"replay line {lineno}: CRC mismatch (corrupt entry)"
-            )
-        command = data.pop("command")
-        if command not in REPLAYABLE:
-            raise JournalError(
-                f"replay line {lineno}: {command!r} is not a replayable command"
-            )
-        return cls(command, data)
+
+def decode_line(line: str, allowlist: frozenset) -> tuple[str | None, object]:
+    """Check one framed journal line, for every journal reader: a JSON
+    object, with a ``command``, a matching CRC (version-1 lines have
+    none) and a command the dialect's ``allowlist`` names.
+
+    Returns ``(None, entry)``, or the first failed check and its detail
+    for the reader to word: ``("json", the decoder's error)``,
+    ``("command", None)``, ``("crc", None)`` or ``("allowlist", the
+    command)``."""
+    try:
+        data = json.loads(line)
+    except json.JSONDecodeError as exc:
+        return "json", exc
+    if not isinstance(data, dict) or "command" not in data:
+        return "command", None
+    crc = data.pop("crc", None)
+    if crc is not None and crc != line_crc(data):
+        return "crc", None
+    command = data.pop("command")
+    if command not in allowlist:
+        return "allowlist", command
+    return None, JournalEntry(command, data)
+
+
+#: The strict parser's words for each :func:`decode_line` failure.
+STRICT_FAULTS = {
+    "json": "{}",
+    "command": "missing command",
+    "crc": "CRC mismatch (corrupt entry)",
+    "allowlist": "{!r} is not a replayable command",
+}
 
 
 @dataclass(frozen=True)
@@ -254,7 +267,11 @@ class Journal:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            entries.append(JournalEntry.from_line(line, lineno))
+            fault, detail = decode_line(line, REPLAYABLE)
+            if fault is not None:
+                message = STRICT_FAULTS[fault].format(detail)
+                raise JournalError(f"replay line {lineno}: {message}")
+            entries.append(detail)
         return cls(entries)
 
     # -- replay -------------------------------------------------------------

@@ -19,7 +19,7 @@ the recovered session can keep journaling.
 
 from __future__ import annotations
 
-import json
+import contextlib
 import os
 import tempfile
 import time
@@ -34,24 +34,41 @@ from repro.core.replay import (
     JournalEntry,
     RecoveryReport,
     SkippedEntry,
+    decode_line,
     journal_text,
-    line_crc,
 )
 from repro.obs import metrics, trace
 
 
+def atomic_write(path: Path, data: bytes) -> None:
+    """Make ``path`` hold exactly ``data``: written to a temp file
+    beside it, flushed, fsynced, then moved over it by ``os.replace``,
+    so a crash leaves the old file or the new one, never a torn mix.
+    Every whole-file write in the program goes through here."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def _fsync_dir(path: Path) -> None:
     """Best-effort durability for a rename: fsync the directory."""
-    try:
+    with contextlib.suppress(OSError):  # a platform without dir fds
         fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir fds
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover
-        pass
-    finally:
-        os.close(fd)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
 
 class JournalWriter:
@@ -65,9 +82,12 @@ class JournalWriter:
 
     ``checkpoint_interval`` bounds unbounded growth: every N appends
     (checked at command boundaries), :meth:`checkpoint` rewrites the
-    file from the journal's committed entries via a sibling temp file
-    and ``os.replace`` — atomic, so a crash mid-compaction leaves the
-    old journal intact.
+    file from the journal's committed entries with :func:`atomic_write`,
+    so a crash mid-compaction leaves the old journal intact.
+
+    The cell store's refs log appends through a writer too, under its
+    own ``header``: there :meth:`truncate_to` drops the torn tail a
+    killed publisher left.
     """
 
     def __init__(
@@ -87,8 +107,16 @@ class JournalWriter:
         #: reads the before/after delta around a command to attribute
         #: per-request durability cost in its stage telemetry.
         self.fsync_seconds = 0.0
+        self._start()
+
+    def _start(self) -> None:
+        """Begin a new or emptied file with its header, made durable by
+        the fsync of the append or truncation that follows."""
         if self._offset == 0:
-            self._write((self.header + "\n").encode("utf-8"))
+            data = (self.header + "\n").encode("utf-8")
+            self._file.write(data)
+            self._file.flush()
+            self._offset = len(data)
 
     def _write(self, data: bytes) -> None:
         self._file.write(data)
@@ -113,14 +141,16 @@ class JournalWriter:
         return self._offset
 
     def truncate_to(self, offset: int) -> None:
-        """Drop everything at and after ``offset`` (aborted-command undo)."""
+        """Drop everything at and after ``offset``: an aborted command's
+        entry, or the torn tail a killed writer left."""
         if offset >= self._offset:
             return
         self._file.flush()
         os.ftruncate(self._file.fileno(), offset)
+        self._offset = offset
+        self._start()
         os.fsync(self._file.fileno())
         metrics.counter("wal.truncates").inc()
-        self._offset = offset
 
     def should_checkpoint(self) -> bool:
         return self._appends >= self.checkpoint_interval
@@ -128,21 +158,9 @@ class JournalWriter:
     def checkpoint(self, entries: list[JournalEntry]) -> None:
         """Atomically rewrite the journal as exactly ``entries``."""
         metrics.counter("wal.checkpoints").inc()
-        fd, tmp = tempfile.mkstemp(
-            dir=self.path.parent, prefix=self.path.name + ".", suffix=".tmp"
+        atomic_write(
+            self.path, journal_text(entries, header=self.header).encode("utf-8")
         )
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(journal_text(entries, header=self.header).encode("utf-8"))
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
         _fsync_dir(self.path.parent)
         self._file.close()
         self._file = open(self.path, "ab")
@@ -160,6 +178,14 @@ class JournalWriter:
 
 
 # -- salvage reading ------------------------------------------------------
+
+#: Where salvage stops, in its words for each :func:`decode_line`
+#: failure but the allowlist's, which rejects the line and reads on.
+SALVAGE_FAULTS = {
+    "json": "unparseable JSON (torn write?)",
+    "command": "not a journal entry",
+    "crc": "CRC mismatch",
+}
 
 
 def load_text(text: str, allowlist: frozenset = REPLAYABLE) -> Journal:
@@ -183,30 +209,18 @@ def load_text(text: str, allowlist: frozenset = REPLAYABLE) -> Journal:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError:
-            corruption = CorruptionPoint(lineno, "unparseable JSON (torn write?)")
-            break
-        if not isinstance(data, dict) or "command" not in data:
-            corruption = CorruptionPoint(lineno, "not a journal entry")
-            break
-        crc = data.pop("crc", None)
-        if crc is not None and crc != line_crc(data):
-            corruption = CorruptionPoint(lineno, "CRC mismatch")
-            break
-        command = data.pop("command")
-        if command not in allowlist:
+        fault, detail = decode_line(line, allowlist)
+        if fault == "allowlist":
             rejected.append(
                 SkippedEntry(
-                    command=command,
-                    error="not a replayable command",
-                    code=JournalError.code,
-                    lineno=lineno,
+                    detail, "not a replayable command", JournalError.code, lineno=lineno
                 )
             )
-            continue
-        entries.append(JournalEntry(command, data))
+        elif fault is not None:
+            corruption = CorruptionPoint(lineno, SALVAGE_FAULTS[fault])
+            break
+        else:
+            entries.append(detail)
     journal = Journal(entries)
     journal.corruption = corruption
     journal.rejected = rejected

@@ -6,21 +6,22 @@ content key: ``<root>/<key[:2]>/<key[2:]>.pkl``.  A second run of
 ``verify`` over an unchanged chip is pure reads; editing one leaf
 cell orphans exactly the entries whose keys covered it.
 
-Writes reuse the atomic temp-file + ``os.replace`` scheme of
-``DiskStore`` (PR 1): a crash mid-store can leave a stray ``.tmp``
-file but never a torn entry.  Reads treat any undecodable entry as a
-miss and delete it — a cache can always be rebuilt, so corruption is
-never an error.
+Writes go through the WAL's atomic write
+(:func:`repro.core.wal.atomic_write`: temp file, fsync,
+``os.replace``): a crash mid-store can leave a stray ``.tmp`` file
+but never a torn entry.  Reads treat any undecodable entry as a miss
+and delete it — a cache can always be rebuilt, so corruption is never
+an error.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import tempfile
 from pathlib import Path
 from typing import Any
 
+from repro.core.wal import atomic_write
 from repro.obs import metrics
 
 
@@ -63,23 +64,7 @@ class ContentCache:
             data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             return False
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(data)
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(self._path(key), data)
         return True
 
     def evict(self, key: str) -> bool:

@@ -99,7 +99,10 @@ class ServiceStatsResult:
     snapshot through :data:`STATS_METRICS` (:func:`stats_result`).  A
     supervisor adds to each its own count (its control traffic) plus
     the same field of every live shard's answer, so ``connections``,
-    ``requests`` and ``errors`` cover the direct data plane too.  The
+    ``requests`` and ``errors`` cover the direct data plane too, and of
+    every dead shard life's last heartbeat snapshot, so no count falls
+    when a shard restarts.  What a life counted after its last
+    heartbeat (0.5 s apart by default) dies with it.  The
     defaulted fields were added with sharding and old writers simply
     omit them — ``pid`` describes the answering process, ``queued`` is
     the commands in flight (summed over shards), ``shed`` counts

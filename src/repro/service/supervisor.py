@@ -153,8 +153,12 @@ class ShardHandle:
         self.last_id = 0
         self.restarts = 0
         #: The latest metrics snapshot this shard piggybacked on a
-        #: heartbeat pong (``None`` until the first one answers).
+        #: heartbeat pong (``None`` until the first one answers, and
+        #: again from a death until the next life's first pong).
         self.last_metrics: dict | None = None
+        #: The summed last snapshots of the lives that died, so that
+        #: service-wide counts do not fall when the shard restarts.
+        self.retired: dict = {}
         #: The task following the current life's stdout until the
         #: process exits; its result is whether the life made progress.
         self.life: asyncio.Task | None = None
@@ -411,6 +415,8 @@ class Supervisor(LineServer):
                 future.set_exception(failure)
         if self._closing:
             return
+        handle.retired = merge_snapshots(handle.retired, handle.last_metrics or {})
+        handle.last_metrics = None
         self.metrics.counter("service.shard_restarts").inc()
         handle.restarts += 1
         handle.restart_task = asyncio.ensure_future(
@@ -611,7 +617,9 @@ class Supervisor(LineServer):
         await asyncio.gather(*(self._refresh_quietly(h) for h in self.shards))
         own = self.telemetry_snapshot()
         merged = merge_snapshots(
-            own, *((h.last_metrics or {}) for h in self.shards)
+            own,
+            *((h.last_metrics or {}) for h in self.shards),
+            *(h.retired for h in self.shards),
         )
         slowest: list[control.FlightRecord] = []
         errored: list[control.FlightRecord] = []
@@ -683,17 +691,23 @@ class Supervisor(LineServer):
         return control.SessionsResult(sessions=tuple(merged))
 
     async def _on_stats(self, request) -> control.ServiceStatsResult:
-        """The supervisor's own counts plus every live shard's answer,
-        field by field: each session command executes in exactly one
-        shard, so the sum is the service-wide total."""
+        """The supervisor's own counts plus every live shard's answer
+        and every dead life's last snapshot, field by field: each
+        session command executes in exactly one shard, so the sum is
+        the service-wide total."""
         answers = await self._control_fanout(
             "service.stats", control.ServiceStatsResult
         )
         live = [stats for _, stats in answers if stats is not None]
+        retired = [  # a shard counts under ``service.*``
+            control.stats_result(handle.retired, "service", sessions=0)
+            for handle in self.shards
+        ]
         return control.stats_result(
             self.metrics_snapshot(),
             self.counter_prefix,
             *live,
+            *retired,
             sessions=len(self.session_shard),
             pid=os.getpid(),
             queued=sum(stats.queued for stats in live),

@@ -73,6 +73,33 @@ class TestDeterministicDamage:
         assert after.resolve("nand").version == 1
         assert after.names() == ["nand"]
 
+    def test_a_live_store_rereads_a_repaired_log(self, store):
+        # A long-lived reader (a shard's store lives as long as the
+        # shard) indexes the log; a repair then rewrites it shorter and
+        # another writer grows it past the reader's old offset.
+        publish(store, "nand", "v1")
+        tampered = publish(store, "or2", "v1 of or2")
+        publish(store, "nand", "v2")
+        refs = store.root / "refs.wal"
+        assert store.names() == ["nand", "or2"]
+        indexed = refs.stat().st_size
+        (store.root / "blobs" / tampered.blob[:2] / tampered.blob[2:]).write_text(
+            "tampered"
+        )
+        assert fsck(store.root, repair=True).repaired
+        assert refs.stat().st_size < indexed
+        other = CellStore(store.root)
+        count = 0
+        while refs.stat().st_size <= indexed:
+            publish(other, f"cell{count}", f"payload {count}")
+            count += 1
+        fresh = CellStore(store.root)
+        assert store.names() == fresh.names() == [
+            *(f"cell{i}" for i in range(count)),
+            "nand",
+        ]
+        assert store.records() == fresh.records()
+
 
 #: Child process: hammer publishes until killed.  Big-ish payloads and
 #: many iterations make the SIGKILL land mid-append often enough to

@@ -2,8 +2,11 @@
 verification must be indistinguishable from fresh verification, and
 editing a leaf must invalidate exactly its dependents."""
 
+import dataclasses
+
 import pytest
 
+from repro.composition.cell import LeafCell
 from repro.core.verify import verify_cell
 from repro.geometry.point import Point
 from repro.pipeline import ContentCache, hash_cell, run_verification
@@ -146,6 +149,11 @@ class TestCachedEqualsFresh:
             assert timing.executed(kind) == 0, kind
 
 
+def stock_srcell_hash() -> str:
+    """The hash of srcell in a freshly stocked library."""
+    return hash_cell(stock_editor().library.get("srcell"))
+
+
 class TestInvalidationExactness:
     """Editing one leaf re-verifies only that leaf's dependents."""
 
@@ -160,31 +168,39 @@ class TestInvalidationExactness:
         return editor
 
     def mutate_srcell(self, editor):
-        """An in-place leaf edit: one extra metal stub on srcell."""
-        leaf = editor.library.get("srcell")
-        sticks = leaf.sticks_cell
+        """A leaf edit: srcell replaced by a copy with one extra metal
+        stub.  The parsed stock leaf is shared by every library in the
+        process, so the edit goes into a copy, never into it."""
+        sticks = editor.library.get("srcell").sticks_cell
         y = sticks.boundary.ury - 200
-        sticks.wires.append(
-            SymbolicWire(
-                "metal",
-                (Point(sticks.boundary.llx, y), Point(sticks.boundary.llx + 600, y)),
-                750,
-            )
+        stub = SymbolicWire(
+            "metal",
+            (Point(sticks.boundary.llx, y), Point(sticks.boundary.llx + 600, y)),
+            750,
         )
+        edited = dataclasses.replace(sticks, wires=[*sticks.wires, stub])
+        editor.library.replace("srcell", LeafCell.from_sticks(edited, TECH))
+
+    def hashes(self, editor):
+        return {
+            name: hash_cell(editor.library.get(name))
+            for name in ("rowa", "rowb", "srcell", "fit_strap")
+        }
 
     def test_hashes_move_only_for_dependents(self):
+        stock = stock_srcell_hash()
         editor = self.build()
-        rowa, rowb = editor.library.get("rowa"), editor.library.get("rowb")
-        srcell, fitting = editor.library.get("srcell"), editor.library.get("fit_strap")
-        before = {c.name: hash_cell(c) for c in (rowa, rowb, srcell, fitting)}
+        before = self.hashes(editor)
         self.mutate_srcell(editor)
-        after = {c.name: hash_cell(c) for c in (rowa, rowb, srcell, fitting)}
+        after = self.hashes(editor)
         assert before["srcell"] != after["srcell"]
         assert before["rowa"] != after["rowa"]
         assert before["fit_strap"] == after["fit_strap"]
         assert before["rowb"] == after["rowb"]
+        assert stock_srcell_hash() == stock
 
     def test_pipeline_reruns_exactly_the_dependents(self, tmp_path):
+        stock = stock_srcell_hash()
         editor = self.build()
         cells = [editor.library.get("rowa"), editor.library.get("rowb")]
         run_verification(cells, TECH, cache=tmp_path)
@@ -201,14 +217,17 @@ class TestInvalidationExactness:
         for stage in ("cif", "elaborate", "drc", "extract"):
             assert f"{stage}:rowb" not in executed
         assert "expand:fit_strap" not in executed
+        assert stock_srcell_hash() == stock
 
     def test_mutated_cell_report_reflects_the_edit(self, tmp_path):
+        stock = stock_srcell_hash()
         editor = self.build()
         cells = [editor.library.get("rowa")]
         first = run_verification(cells, TECH, cache=tmp_path).reports["rowa"]
         self.mutate_srcell(editor)
         second = run_verification(cells, TECH, cache=tmp_path).reports["rowa"]
         assert second.shape_count > first.shape_count
+        assert stock_srcell_hash() == stock
 
 
 def test_cache_shared_between_jobs_levels(tmp_path):

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import signal
 import socket
 import time
 
@@ -366,3 +368,38 @@ class TestSessionsAndQueue:
         )
         slow_server.wait_idle()
         assert slow_server.stats()["queued"] == 0
+
+
+class TestRestart:
+    def test_no_count_falls_when_a_shard_restarts(self):
+        srv = start(2)
+        server = Server(srv, 2)
+        try:
+            name, wire, generation = server.session()
+            for _ in range(20):
+                assert wire.call("cells", session=name, generation=generation)["ok"]
+            before = server.stats()
+            # The telemetry call refreshes every shard's snapshot, so the
+            # supervisor holds everything the doomed shard counted.
+            assert server.control.call("service.telemetry")["ok"]
+            index = HashRing(2).shard_for(name)
+            (shard,) = [s for s in before["shards"] if s["index"] == index]
+            os.kill(shard["pid"], signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                after = server.stats()
+                (shard,) = [s for s in after["shards"] if s["index"] == index]
+                if shard["alive"] and shard["restarts"]:
+                    break
+                time.sleep(0.05)
+            else:
+                raise TimeoutError(f"shard {index} did not restart")
+            assert after["direct_requests"] >= 21
+            assert {
+                field: (before[field], after[field])
+                for field in COUNTS
+                if after[field] < before[field]
+            } == {}
+        finally:
+            server.close()
+            srv.stop()
