@@ -169,9 +169,9 @@ def main() -> int:
             # A kill surfaces to clients as a dropped data socket and
             # refused routes, so the supervisor's shard_failures
             # counter (its own requests failed in flight) only moves
-            # when the storm catches a heartbeat or warm-up read; the
-            # client retry count above is the storm's client-side
-            # witness either way.
+            # when the storm catches a heartbeat or a fan-out on the
+            # shard's pipe; the client retry count above is the
+            # storm's client-side witness either way.
             assert stats.shard_failures >= 1 or retries >= 1, stats
             control.call("service.shutdown")
         server.wait(timeout=60)

@@ -7,9 +7,11 @@ One subcommand so far::
 ``fsck`` checks the refs log (framing, CRCs, op allowlist, torn tail)
 and the blob farm (presence, content hash) of the cell store at DIR
 and prints the report.  Exit status is 0 when the store is clean (or
-was just repaired to clean), 1 otherwise.  ``--repair`` rewrites the
-refs log atomically with every damaged line dropped — the recovery
-step after a publisher was SIGKILLed mid-append.
+was just repaired to clean), 1 otherwise — also when DIR is not a
+directory, which is reported as no cell store and left uncreated.
+``--repair`` rewrites the refs log atomically with every damaged line
+dropped — the recovery step after a publisher was SIGKILLed
+mid-append.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.cellstore.store import (
     STORE_HEADER,
@@ -50,12 +51,16 @@ class FsckReport:
     issues: list[FsckIssue] = field(default_factory=list)
     torn_tail: bool = False
     repaired: bool = False
+    #: No directory at ``path``: no store to check (nor to repair).
+    missing: bool = False
 
     @property
     def clean(self) -> bool:
-        return not self.issues and not self.torn_tail
+        return not self.missing and not self.issues and not self.torn_tail
 
     def to_text(self) -> str:
+        if self.missing:
+            return f"cellstore {self.path}: no cell store there"
         lines = [
             f"cellstore {self.path}: {self.records} record(s), "
             f"{self.tombstones} tombstone(s)"
@@ -80,8 +85,12 @@ def fsck(root, repair: bool = False) -> FsckReport:
     only while reading the log, and repair rewrites it atomically under
     that lock.  The rewrite is a new file, so every live store, in
     this process or another, sees a new inode on its next call and
-    rebuilds its index from the start.
+    rebuilds its index from the start.  A ``root`` that is not a
+    directory is reported ``missing`` and left as it is: opening a
+    store there would create one.
     """
+    if not Path(root).is_dir():
+        return FsckReport(path=str(root), missing=True)
     store = CellStore(root)
     report = FsckReport(path=str(store.root))
     with store._locked():

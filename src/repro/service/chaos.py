@@ -18,8 +18,8 @@ list of fault specs:
 ``drop-heartbeat-after:N``
     Answer the first N ``service.ping`` requests normally, then go
     silent (requests still served).  Exercises the supervisor's
-    heartbeat-timeout detection path, as opposed to the
-    connection-EOF path a kill exercises.
+    heartbeat-timeout detection path, as opposed to the process exit
+    a kill is detected by.
 
 ``slow-worker:MS``
     Sleep MS milliseconds inside every session command, inflating

@@ -22,35 +22,31 @@ with a generation number and a TTL), dials the shard, and stamps the
 generation on every session command it sends there.  The
 ``service.*`` control plane always stays on the control wire.
 
-Nothing has been sent while a route is still being found, so these
-are retried for *every* method, after the server's ``retry_after_ms``
-hint:
-
-* a route the supervisor refuses — the shard is down and restarting
-  (``service.shard_failed``) or crash-looping (``service.overloaded``);
-* a shard socket that refuses the dial.
-
 ``service.moved`` — a stale generation after a shard restart, or a
 ring move — refreshes the route: when the error's ``detail`` carries
 the new address and generation the client adopts it in place,
 otherwise it asks the supervisor again.
 
-Once a command has been sent, the client rides out transient failures
-by itself (capped exponential backoff with jitter, see
-:class:`RetryPolicy`):
+The client rides out transient failures by itself (capped exponential
+backoff with jitter, see :class:`RetryPolicy`):
 
 * **connect** retries ``ConnectionRefusedError`` until the window
   closes — a client started moments before its server wins the race;
-* ``service.overloaded`` / ``service.backpressure`` are always
-  retried — nothing executed, and the server's ``retry_after_ms``
-  pacing hint is honored when present;
-* ``service.shard_failed``, ``service.moved`` and a dropped
-  connection are retried (after re-routing / reconnecting) only for
-  *replayable* commands, read-only queries and the ``service.*``
-  control plane.  A replayable command that reached the WAL before
-  the crash is re-applied by replay, so the retry converges on the
-  same state; a non-replayable command (plots, file writes) is not
-  known to be idempotent and its failure is surfaced instead.
+* ``service.overloaded``, ``service.backpressure``,
+  ``service.shard_failed`` and ``service.moved`` are retried for
+  *every* method (after re-routing), honouring the server's
+  ``retry_after_ms`` pacing hint: each is a refusal raised before the
+  command is queued — a route refused while the shard is down or
+  crash-looping, a stale lease, a full queue, a shed — so nothing
+  executed;
+* a failed wire is retried (after reconnecting / re-routing) for
+  every method while the request was not yet sent — a shard socket
+  that refuses the dial — and once it was, only for *replayable*
+  commands, read-only queries and the ``service.*`` control plane.  A
+  replayable command that reached the WAL before the crash is
+  re-applied by replay, so the retry converges on the same state; a
+  non-replayable command (plots, file writes) is not known to be
+  idempotent and its failure is surfaced instead.
 
 Everything else — command errors, bad requests, shutdown — raises
 immediately; retrying cannot help.
@@ -75,14 +71,17 @@ from repro.service.errors import ServiceError
 from repro.service.telemetry import command_class
 from repro.service.telemetry import us as _us
 
-#: Error codes retried regardless of the method: the server refused to
-#: start the work, so a retry can never duplicate anything.
-RETRY_ALWAYS = frozenset({"service.overloaded", "service.backpressure"})
-
-#: Error codes retried only when the method is safe to re-run — or
-#: when the request was never sent (a refused route): once sent, the
-#: work may have started, even reached the WAL, before the failure.
-RETRY_IF_REPLAYABLE = frozenset({"service.shard_failed", "service.moved"})
+#: Error codes retried whatever the method: each is a refusal raised
+#: before the command is queued, so a retry can never duplicate
+#: anything.
+REFUSALS = frozenset(
+    {
+        "service.overloaded",
+        "service.backpressure",
+        "service.shard_failed",
+        "service.moved",
+    }
+)
 
 
 @dataclass(frozen=True)
@@ -364,21 +363,14 @@ class ServiceClient:
                 code = getattr(exc, "code", None)
                 if code == "service.moved":
                     self._absorb_moved(exc)
-                if last_attempt:
-                    raise
-                if code in RETRY_ALWAYS:
-                    pass
-                elif code in RETRY_IF_REPLAYABLE and (
-                    not sent or _replay_safe(method)
-                ):
-                    pass
-                else:
+                if last_attempt or code not in REFUSALS:
                     raise
                 hint = getattr(exc, "retry_after_ms", None)
                 self._pause(self.retry.delay(attempt, self._rng, hint))
             except OSError:
                 # A wire failed; whether a sent request reached the
-                # server is unknown — same contract as shard_failed.
+                # server is unknown, so only a command safe to re-run
+                # is sent again.
                 if on_direct:
                     self._forget_route()
                 if last_attempt or (sent and not _replay_safe(method)):

@@ -102,7 +102,9 @@ class ServiceStatsResult:
     ``requests`` and ``errors`` cover the direct data plane too, and of
     every dead shard life's last heartbeat snapshot, so no count falls
     when a shard restarts.  What a life counted after its last
-    heartbeat (0.5 s apart by default) dies with it.  The
+    heartbeat (0.5 s apart by default) dies with it.  The supervisor's
+    own requests to its shards (heartbeats, fan-outs) travel the
+    shards' pipes, not their sockets, and count nowhere.  The
     defaulted fields were added with sharding and old writers simply
     omit them — ``pid`` describes the answering process, ``queued`` is
     the commands in flight (summed over shards), ``shed`` counts

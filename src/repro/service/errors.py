@@ -73,12 +73,14 @@ class ShutdownError(ServiceError):
 
 class ShardFailedError(ServiceError):
     """The session's shard is down: it died, or is restarting.  The
-    supervisor answers routes to it this way, and fails its own
+    supervisor refuses routes to it this way — before anything is
+    queued, so a client retries any command — and fails its own
     requests that were in flight when it died.  A session command the
     shard executed before dying is in its WAL, and comes back by
-    salvage + replay when the shard restarts.  ``retry_after_ms``
-    estimates how long the restart will take; ``detail`` names the
-    shard and the generation the restart will supersede."""
+    salvage + replay when its session next opens on the restarted
+    shard.  ``retry_after_ms`` estimates how long the restart will
+    take; ``detail`` names the shard and the generation the restart
+    will supersede."""
 
     code = "service.shard_failed"
 
@@ -100,6 +102,6 @@ class SessionMovedError(ServiceError):
     carries the owner's coordinates when the answering process knows
     them — the address and current generation for a stale lease or a
     command sent to the supervisor.  Clients adopt them, or ask
-    ``service.route`` again, and retry replayable commands."""
+    ``service.route`` again, and retry the command, whatever it is."""
 
     code = "service.moved"

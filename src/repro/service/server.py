@@ -351,6 +351,10 @@ class RiotService(LineServer):
         self._backpressure = self._counter("backpressure")
         self._shed = self._counter("shed")
         self._direct = self._counter("direct")
+        #: A supervised shard's pipes to its supervisor
+        #: (:class:`repro.service.shard.SupervisorPipe`), set by the
+        #: shard's entry point; ``None`` anywhere else.
+        self.pipe = None
         self._progressed = False
 
     async def start(self) -> "RiotService":
@@ -361,16 +365,17 @@ class RiotService(LineServer):
 
     def note_progress(self) -> None:
         """A shard's first acknowledged session command of this life:
-        say so, once, on stdout — the pipe the supervisor holds — so
-        its crash-loop breaker counts the life as productive.  Runs
-        before the response is written, so it precedes any chaos kill
-        at the acknowledgement point.  Two sessions racing here may
-        both print; the supervisor reads any number as one."""
-        if self._progressed or self.shard_index is None:
+        say so, once, on the supervisor's pipe, so its crash-loop
+        breaker counts the life as productive.  Runs on the session's
+        thread before the response is written, so the line is in the
+        pipe before any chaos kill at the acknowledgement point.  Two
+        sessions racing here may both write; the supervisor reads any
+        number as one."""
+        if self._progressed or self.pipe is None:
             return
         self._progressed = True
         with contextlib.suppress(OSError, ValueError):
-            print(PROGRESS, flush=True)
+            self.pipe.write_line(PROGRESS)
 
     def metrics_snapshot(self) -> dict:
         """The server's registry merged with its sessions' own, which

@@ -12,15 +12,17 @@ Crash isolation is the point: a shard that segfaults, OOMs, or is
 SIGKILLed takes only its own sessions down, and those resume by WAL
 salvage + replay when the supervisor restarts it.
 
-The supervisor speaks ordinary protocol v1 to the shard on a
-connection of its own (there is no second wire format to version):
-``service.ping`` doubles as the heartbeat, and a warm-up ``cells``
-read replays each session's WAL after a restart.  Two pipes tie the
-shard to its supervisor: it prints one ``progress`` line on stdout at
-its first acknowledged session command — the crash-loop breaker's
-evidence that this life was productive — and it watches its stdin,
-draining gracefully on EOF, so an orphaned shard never outlives a
-dead supervisor.
+Two pipes tie the shard to its supervisor, and they are the only
+channel between them (:class:`SupervisorPipe`).  The supervisor's own
+requests — ``service.ping``, which doubles as the heartbeat, the
+``service.*`` fan-outs and ``service.shutdown`` — arrive on stdin as
+ordinary protocol-v1 lines (there is no second wire format to
+version), and their answers leave on stdout.  So does one
+``progress`` line at the shard's first acknowledged session command,
+the crash-loop breaker's evidence that this life was productive.
+When stdin closes the shard drains gracefully, so an orphaned shard
+never outlives a dead supervisor.  None of this touches the socket:
+the shard's counts and request histograms are its clients' alone.
 
 Runnable directly for debugging::
 
@@ -41,20 +43,54 @@ from repro.service.chaos import ChaosPolicy
 from repro.service.server import RiotService
 
 
-def _watch_stdin(loop: asyncio.AbstractEventLoop, service: RiotService) -> None:
-    """Block until the supervisor's pipe closes, then drain.
+class SupervisorPipe:
+    """The shard's end of its supervisor's stdin and stdout pipes.
 
-    Reads the raw fd, not ``sys.stdin.buffer``: this daemon thread may
-    still be blocked here when a graceful shutdown finalizes the
-    interpreter, and holding the buffered reader's lock at that point
+    One thread (:meth:`serve`) reads stdin: it hands each request line
+    to the event loop — to :meth:`LineServer._respond`, the code a
+    socket line meets — waits for the answer and writes it to stdout
+    itself, so the event loop never waits on the pipe and a supervisor
+    that stops reading can stall only its own requests.  Session
+    threads write the ``progress`` line to the same stdout
+    (:meth:`RiotService.note_progress`), so every write is one whole
+    line under one lock.
+
+    Both ends use the raw fds, not ``sys.stdin.buffer`` or
+    ``sys.stdout``: the reader thread is a daemon that may still be
+    blocked in a read when a graceful shutdown finalizes the
+    interpreter, and holding a buffered stream's lock at that point
     aborts the process (``_enter_buffered_busy``)."""
-    try:
-        fd = sys.stdin.fileno()
-        while os.read(fd, 4096):
+
+    def __init__(
+        self, loop: asyncio.AbstractEventLoop, service: RiotService
+    ) -> None:
+        self.loop = loop
+        self.service = service
+        self._lock = threading.Lock()
+
+    def write_line(self, text: str) -> None:
+        data = text.encode("utf-8") + b"\n"
+        with self._lock:
+            while data:
+                data = data[os.write(sys.stdout.fileno(), data) :]
+
+    def serve(self) -> None:
+        """Answer the supervisor's requests until its pipe closes, then
+        drain."""
+        rest = b""
+        try:
+            fd = sys.stdin.fileno()
+            while chunk := os.read(fd, 65536):
+                *lines, rest = (rest + chunk).split(b"\n")
+                for line in lines:
+                    answer = asyncio.run_coroutine_threadsafe(
+                        self.service._respond(line), self.loop
+                    ).result()
+                    if answer is not None:  # None: chaos swallowed a ping
+                        self.write_line(answer)
+        except (OSError, ValueError):  # pragma: no cover - closed abruptly
             pass
-    except (OSError, ValueError):  # pragma: no cover - closed abruptly
-        pass
-    loop.call_soon_threadsafe(service.request_shutdown)
+        self.loop.call_soon_threadsafe(self.service.request_shutdown)
 
 
 async def amain(args) -> None:
@@ -76,10 +112,10 @@ async def amain(args) -> None:
     metrics.register_export_provider(service.export_metrics)
     print(f"listening on {service.host}:{service.port}", flush=True)
     if not sys.stdin.isatty():
+        service.pipe = SupervisorPipe(asyncio.get_running_loop(), service)
         threading.Thread(
-            target=_watch_stdin,
-            args=(asyncio.get_running_loop(), service),
-            name=f"shard-{args.index}-stdin",
+            target=service.pipe.serve,
+            name=f"shard-{args.index}-pipe",
             daemon=True,
         ).start()
     await service.serve_forever()

@@ -45,17 +45,21 @@ Robustness model:
   tells the supervisor a life was productive with one ``progress``
   line on its stdout pipe, at its first acknowledged session command.
 * **Recovery** — each shard owns a WAL directory
-  (``journal_dir/shard-K``), so its sessions' journals survive it; on
-  restart the supervisor warms every affected session back up, which
-  salvages + replays its WAL through the registry — the paper's REPLAY
-  recovery, per seat, automated.
+  (``journal_dir/shard-K``), so its sessions' journals survive it; a
+  restarted shard recovers a session when that session's next command
+  opens it, which salvages + replays its WAL through the registry —
+  the paper's REPLAY recovery, per seat, run when the designer comes
+  back to it.
 
-The supervisor keeps one ordinary protocol-v1 connection to each shard
-for its own requests: ``service.ping`` (the heartbeat, which also
-carries the shard's telemetry back), the ``service.*`` fan-outs, the
-warm-up reads and the final ``service.shutdown``.  A shard that stays
-silent past the heartbeat timeout is SIGKILLed (a wedged process is as
-dead as an exited one).
+The supervisor's own requests — ``service.ping`` (the heartbeat,
+which also carries the shard's telemetry back), the ``service.*``
+fan-outs and the final ``service.shutdown`` — are protocol-v1 lines
+down each shard's stdin, answered on its stdout beside the
+``progress`` line.  Nothing the supervisor sends reaches a shard's
+socket, so a shard's counts, request histograms and chaos
+acknowledgements are its clients' alone.  A shard that stays silent
+past the heartbeat timeout is SIGKILLed (a wedged process is as dead
+as an exited one); a death is the process's exit.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ import sys
 from pathlib import Path
 
 from repro.api import wire
-from repro.api.codec import canonical_json, from_jsonable
+from repro.api.codec import from_jsonable
 from repro.errors import ReproError
 from repro.obs.metrics import merge_snapshots
 from repro.service import control
@@ -132,9 +136,8 @@ class ShardHandle:
     def __init__(self, supervisor: "Supervisor", index: int) -> None:
         self.index = index
         self.proc: asyncio.subprocess.Process | None = None
-        self.writer: asyncio.StreamWriter | None = None
         self.alive = False
-        #: Bumped on every death; guards stale pump/watcher callbacks
+        #: Bumped on every death; guards stale life/heartbeat callbacks
         #: *and* is the route-lease generation clients stamp on direct
         #: requests (the shard is spawned with ``--generation`` set to
         #: it, so both sides agree).
@@ -148,7 +151,7 @@ class ShardHandle:
         self.data_host: str | None = None
         self.data_port: int | None = None
         #: Request id -> response future, for the supervisor's own
-        #: requests in flight on the shard connection.
+        #: requests in flight on the shard's pipes.
         self.pending: dict[int, asyncio.Future] = {}
         self.last_id = 0
         self.restarts = 0
@@ -231,7 +234,6 @@ class Supervisor(LineServer):
         self.session_shard: dict[str, int] = {}
         self._shard_failures = self._counter("shard_failures")
         self._heartbeat_tasks: list[asyncio.Task] = []
-        self._background: set[asyncio.Task] = set()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -254,11 +256,6 @@ class Supervisor(LineServer):
             for name, value in (handle.last_metrics or {}).items():
                 out[f"shard{handle.index}.{name}"] = value
         return out
-
-    def _spawn_background(self, coro) -> None:
-        task = asyncio.ensure_future(coro)
-        self._background.add(task)
-        task.add_done_callback(self._background.discard)
 
     # -- shard processes -----------------------------------------------------
 
@@ -313,7 +310,7 @@ class Supervisor(LineServer):
         return env
 
     async def _spawn(self, handle: ShardHandle) -> None:
-        """Start one shard life: subprocess, handshake, connection."""
+        """Start one shard life: the subprocess and its banner."""
         proc = await asyncio.create_subprocess_exec(
             *self._shard_command(handle),
             stdin=asyncio.subprocess.PIPE,
@@ -330,27 +327,23 @@ class Supervisor(LineServer):
                     f"shard {handle.index} did not start: {text!r}"
                 )
             host, _, port = text.removeprefix("listening on ").rpartition(":")
-            reader, writer = await asyncio.open_connection(host, int(port))
+            port = int(port)
         except BaseException:
             with contextlib.suppress(ProcessLookupError):
                 proc.kill()
             raise
         handle.proc = proc
-        handle.writer = writer
         handle.data_host = host
-        handle.data_port = int(port)
+        handle.data_port = port
         handle.alive = True
-        generation = handle.generation
-        self._spawn_background(self._pump(handle, reader, generation))
         handle.life = asyncio.ensure_future(
-            self._follow_life(handle, generation)
+            self._follow_life(handle, handle.generation)
         )
-        if handle.restarts and self.journal_dir is not None:
-            self._spawn_background(self._resume_sessions(handle, generation))
 
     async def _follow_life(self, handle: ShardHandle, generation: int) -> bool:
-        """Read one life's stdout until the process exits; the life
-        made progress if it printed the ``progress`` line."""
+        """Read one life's stdout until the process exits: answers to
+        the supervisor's requests, and the ``progress`` line, which
+        makes the life productive."""
         proc = handle.proc
         progressed = False
         with contextlib.suppress(ValueError, OSError):
@@ -359,28 +352,19 @@ class Supervisor(LineServer):
                     progressed = True
                     # Productive work closes a half-open circuit now.
                     handle.governor.record_progress()
-        await proc.wait()
-        self._shard_down(
-            handle, generation, f"exited with code {proc.returncode}"
-        )
-        return progressed
-
-    async def _pump(
-        self, handle: ShardHandle, reader, generation: int
-    ) -> None:
-        """Hand shard responses to the supervisor requests awaiting them."""
-        try:
-            while raw := await reader.readline():
+                    continue
                 try:
-                    response = wire.parse_response(raw)
+                    response = wire.parse_response(line)
                 except (ReproError, ValueError):
                     continue
                 future = handle.pending.pop(response.id, None)
                 if future is not None and not future.done():
                     future.set_result(response)
-        except (ConnectionResetError, OSError):
-            pass
-        self._shard_down(handle, generation, "connection lost")
+        await proc.wait()
+        self._shard_down(
+            handle, generation, f"exited with code {proc.returncode}"
+        )
+        return progressed
 
     def _shard_down(
         self, handle: ShardHandle, generation: int, reason: str
@@ -391,15 +375,11 @@ class Supervisor(LineServer):
         handle.alive = False
         handle.generation += 1
         if handle.proc is not None and not self._closing:
-            # During graceful shutdown the EOF on the shard connection
-            # is the shard *draining*, not dying: it still has WALs to
-            # checkpoint and its trace/metrics files to write, and
-            # ``_drain`` already waits on (and, past the deadline,
-            # kills) the process.
+            # Only a silent shard is still running here.  While
+            # draining, one is left to checkpoint its WALs: ``_drain``
+            # waits on (and, past the deadline, kills) the process.
             with contextlib.suppress(ProcessLookupError):
                 handle.proc.kill()
-        if handle.writer is not None:
-            handle.writer.close()
         pending, handle.pending = handle.pending, {}
         self._shard_failures.inc(len(pending))
         failure = ShardFailedError(
@@ -457,7 +437,7 @@ class Supervisor(LineServer):
             decision = handle.governor.record_death(progress=False)
 
     async def _heartbeat(self, handle: ShardHandle) -> None:
-        """Ping the shard on the wire; silence past the timeout kills."""
+        """Ping the shard down its pipe; silence past the timeout kills."""
         while not self._closing:
             await asyncio.sleep(self.heartbeat_interval)
             if self._closing:
@@ -469,73 +449,52 @@ class Supervisor(LineServer):
                 await self._refresh(handle)
             except asyncio.TimeoutError:
                 self._shard_down(handle, generation, "heartbeat timeout")
-            except ServiceError:
-                pass  # already detected down by another path
+            except ReproError:
+                pass  # down already: its exit is being handled
 
     async def _refresh(self, handle: ShardHandle) -> None:
         """A telemetry ping: the heartbeat, and the shard's latest
         metrics snapshot kept from the pong."""
-        response = await asyncio.wait_for(
-            self._shard_call(
-                handle, "service.ping", params={"telemetry": True}
-            ),
-            self.heartbeat_timeout,
-        )
-        snapshot = (response.result or {}).get("metrics")
-        if response.ok and isinstance(snapshot, dict):
-            handle.last_metrics = snapshot
+        pong = await self._shard_call(handle, "service.ping", telemetry=True)
+        if pong.metrics is not None:
+            handle.last_metrics = pong.metrics
 
     async def _refresh_quietly(self, handle: ShardHandle) -> None:
         """:meth:`_refresh`, keeping the last snapshot on any failure."""
-        with contextlib.suppress(ReproError, asyncio.TimeoutError, OSError):
+        with contextlib.suppress(ReproError, asyncio.TimeoutError):
             await self._refresh(handle)
 
-    async def _shard_call(
-        self,
-        handle: ShardHandle,
-        method: str,
-        *,
-        session: str | None = None,
-        params: dict | None = None,
-    ) -> wire.ResponseEnvelope:
-        """One of the supervisor's own requests down the shard
-        connection."""
+    async def _shard_call(self, handle: ShardHandle, method: str, **params):
+        """One of the supervisor's own requests, down the shard's stdin:
+        its typed result, answered on the shard's stdout.
+
+        Raises ``asyncio.TimeoutError`` when no answer comes within the
+        heartbeat timeout, the error the answer carries, or why the
+        shard takes nothing (:meth:`_down_error`, or the
+        :class:`ShardFailedError` of a death with the request in
+        flight).
+        """
         if not handle.alive:
             raise self._down_error(handle)
+        request_cls, result_cls = control.control_types(method)
         handle.last_id += 1
         uid = handle.last_id
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         handle.pending[uid] = future
-        line = canonical_json(
-            wire.RequestEnvelope(
-                method=method, params=params or {}, id=uid, session=session
-            )
+        # No drain: a shard that stops reading its stdin stops
+        # answering too, and the heartbeat timeout kills it, so what
+        # queues here stays a few lines long.
+        handle.proc.stdin.write(
+            wire.encode_request(method, request_cls(**params), id=uid).encode()
+            + b"\n"
         )
         try:
-            handle.writer.write(line.encode("utf-8") + b"\n")
-            await handle.writer.drain()
-            return await future
-        except (ConnectionResetError, OSError):
-            raise self._down_error(handle) from None
+            response = await asyncio.wait_for(future, self.heartbeat_timeout)
         finally:
             handle.pending.pop(uid, None)
-
-    async def _resume_sessions(
-        self, handle: ShardHandle, generation: int
-    ) -> None:
-        """Warm every session of a restarted shard back up: the first
-        command a session sees salvages + replays its WAL, so a cheap
-        read (``cells``) performs the recovery eagerly."""
-        names = sorted(
-            name
-            for name, index in self.session_shard.items()
-            if index == handle.index
-        )
-        for name in names:
-            if self._closing or handle.generation != generation:
-                return
-            with contextlib.suppress(ReproError):
-                await self._shard_call(handle, "cells", session=name)
+        if not response.ok:
+            raise wire.response_error(response)
+        return from_jsonable(result_cls, response.result, where=method)
 
     # -- routing -------------------------------------------------------------
 
@@ -624,11 +583,7 @@ class Supervisor(LineServer):
         slowest: list[control.FlightRecord] = []
         errored: list[control.FlightRecord] = []
         if request.slow:
-            for _, result in await self._control_fanout(
-                "service.telemetry",
-                control.TelemetryResult,
-                params={"slow": True},
-            ):
+            for _, result in await self._fanout("service.telemetry", slow=True):
                 if result is not None:
                     slowest.extend(result.slowest)
                     errored.extend(result.errored)
@@ -650,23 +605,13 @@ class Supervisor(LineServer):
             errored=tuple(errored),
         )
 
-    async def _control_fanout(
-        self, method: str, result_cls, *, params: dict | None = None
-    ):
+    async def _fanout(self, method: str, **params):
         """(handle, typed result | None) for every shard, concurrently."""
 
         async def one(handle: ShardHandle):
             try:
-                response = await asyncio.wait_for(
-                    self._shard_call(handle, method, params=params),
-                    self.heartbeat_timeout,
-                )
-                if not response.ok:
-                    return handle, None
-                return handle, from_jsonable(
-                    result_cls, response.result, where=method
-                )
-            except (ReproError, asyncio.TimeoutError, OSError):
+                return handle, await self._shard_call(handle, method, **params)
+            except (ReproError, asyncio.TimeoutError):
                 return handle, None
 
         return await asyncio.gather(*(one(h) for h in self.shards))
@@ -681,9 +626,7 @@ class Supervisor(LineServer):
                 journal=info.journal,
                 shard=handle.index,
             )
-            for handle, result in await self._control_fanout(
-                "service.sessions", control.SessionsResult
-            )
+            for handle, result in await self._fanout("service.sessions")
             if result is not None
             for info in result.sessions
         ]
@@ -695,9 +638,7 @@ class Supervisor(LineServer):
         and every dead life's last snapshot, field by field: each
         session command executes in exactly one shard, so the sum is
         the service-wide total."""
-        answers = await self._control_fanout(
-            "service.stats", control.ServiceStatsResult
-        )
+        answers = await self._fanout("service.stats")
         live = [stats for _, stats in answers if stats is not None]
         retired = [  # a shard counts under ``service.*``
             control.stats_result(handle.retired, "service", sessions=0)
@@ -741,9 +682,7 @@ class Supervisor(LineServer):
             # Graceful: the shard drains its queues and checkpoints
             # every WAL before exiting; SIGKILL only past the deadline.
             with contextlib.suppress(ReproError, asyncio.TimeoutError):
-                await asyncio.wait_for(
-                    self._shard_call(handle, "service.shutdown"), 5.0
-                )
+                await self._shard_call(handle, "service.shutdown")
             if handle.proc is not None:
                 try:
                     await asyncio.wait_for(handle.proc.wait(), 30.0)

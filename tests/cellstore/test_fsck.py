@@ -30,8 +30,15 @@ class TestDeterministicDamage:
         assert report.records == 1
         assert not report.repaired
 
-    def test_missing_store_is_vacuously_clean(self, tmp_path):
-        assert fsck(tmp_path / "never-created").clean
+    @pytest.mark.parametrize("repair", [False, True])
+    def test_missing_store_is_reported_and_not_created(self, tmp_path, repair):
+        missing = tmp_path / "never-created"
+        report = fsck(missing, repair=repair)
+        assert report.missing
+        assert not report.clean and not report.repaired
+        assert report.to_text().endswith("no cell store there")
+        assert "--repair" not in report.to_text()
+        assert not missing.exists()
 
     def test_torn_tail_detected_then_repaired(self, store):
         publish(store, "nand", "v1")

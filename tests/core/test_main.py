@@ -207,6 +207,7 @@ class TestImportBoundaries:
 
     def test_fuzz_and_cellstore_skip_the_textual_interface(self, tmp_path):
         (tmp_path / "corpus").mkdir()
+        (tmp_path / "store").mkdir()
         runs = {
             "fuzz": ["fuzz", "--cases", "1", "--corpus", str(tmp_path / "corpus")],
             "cellstore": ["cellstore", "fsck", str(tmp_path / "store")],

@@ -194,13 +194,17 @@ class TestErrorRetries:
                 pong = client.call("service.ping")
         assert pong.version == PROTOCOL_VERSION
 
-    def test_shard_failed_not_retried_for_side_effect_commands(self):
+    def test_shard_failed_retried_for_side_effect_commands(self):
+        # A down shard refuses before anything is queued, so even
+        # writecif, which is not replayable, is sent again — and runs
+        # once, on the attempt that is answered.
         with ScriptedServer(["shard_failed", "ok"]) as srv:
             with client_for(srv) as client:
-                with pytest.raises(ReproError) as excinfo:
-                    client.call("writecif", cell="top", path="/tmp/x.cif")
-        assert excinfo.value.code == "service.shard_failed"
-        assert len(srv.requests) == 1  # no second attempt went out
+                written = client.call("writecif", cell="top", path="/tmp/x.cif")
+                assert client.retries == 1
+        assert written.path == "/tmp/x.cif"
+        assert [r["method"] for r in srv.requests] == ["writecif"] * 2
+        assert srv.behaviors == []  # the refusal, then the one run
 
     def test_attempts_exhausted_raises_last_error(self):
         policy = RetryPolicy(
@@ -221,16 +225,17 @@ class TestErrorRetries:
                 assert client.call("new_cell", name="top").name == "top"
                 assert client.retries == 1
 
-    def test_moved_not_retried_for_side_effect_commands(self):
-        # writecif is not replayable: the attempt that provoked the
-        # re-route may already have written the file, so surface it.
+    def test_moved_retried_for_side_effect_commands(self):
+        # A stale lease is refused before anything is queued, so even
+        # writecif, which is not replayable, is sent again — and runs
+        # once, on the attempt that is answered.
         with ScriptedServer(["moved", "ok"]) as srv:
             with client_for(srv) as client:
-                with pytest.raises(ReproError) as excinfo:
-                    client.call("writecif", cell="top", path="/tmp/x.cif")
-        assert excinfo.value.code == "service.moved"
-        assert excinfo.value.detail.generation == 2
-        assert len(srv.requests) == 1  # no second attempt went out
+                written = client.call("writecif", cell="top", path="/tmp/x.cif")
+                assert client.retries == 1
+        assert written.path == "/tmp/x.cif"
+        assert [r["method"] for r in srv.requests] == ["writecif"] * 2
+        assert srv.behaviors == []  # the refusal, then the one run
 
     def test_no_retry_policy_fails_fast(self):
         with ScriptedServer(["overloaded", "ok"]) as srv:

@@ -179,11 +179,12 @@ class TestStaleLease:
         with client_for(long_lease, session=name) as fresh:
             assert "top" in fresh.call("cells").names
 
-    def test_stale_lease_surfaces_moved_for_side_effect_commands(
+    def test_stale_lease_retries_side_effect_commands(
         self, long_lease, tmp_path
     ):
         ring = HashRing(2)
         name = "dr-stale-io"
+        path = str(tmp_path / "x.cif")
         with client_for(long_lease, session=name) as client:
             client.call("new_cell", name="top")
             index = ring.shard_for(name)
@@ -192,14 +193,20 @@ class TestStaleLease:
                 os.kill(shard_pid_for(control, index), signal.SIGKILL)
                 wait_for_restart(control, index, past=past)
             client._close_direct()
-            # writecif is not replayable: the stale-lease refusal must
-            # surface instead of being silently retried.
-            with pytest.raises(ReproError) as excinfo:
-                client.call(
-                    "writecif", cell="top", path=str(tmp_path / "x.cif")
-                )
-            assert excinfo.value.code == "service.moved"
-            # ...but the adopted route serves the next command.
+            # The stale-lease refusal ran nothing, so writecif, which
+            # is not replayable, is retried on the adopted route...
+            written = client.call("writecif", cell="top", path=path)
+            assert written.path == path
+            assert client.retries >= 1
+            # ...and ran once: the restarted shard opened the session
+            # for it, replaying the WAL that holds "top".
+            with client_for(long_lease) as control:
+                (info,) = [
+                    s
+                    for s in control.call("service.sessions").sessions
+                    if s.name == name
+                ]
+            assert info.executed == 1
             assert "top" in client.call("cells").names
 
 

@@ -5,9 +5,10 @@ every count field between two ``service.stats`` answers, on a
 single-process server and on a supervisor over two shards.  Requests
 go out as raw protocol-v1 lines, so the count of each is known: no
 hello, no route refresh and no retry hides inside a client.  The
-supervisor's heartbeat is off (an hour apart), so the only requests it
-sends its shards are the ``service.stats`` fan-outs themselves; on a
-supervisor, every count field is its own count plus every shard's.
+supervisor's own requests to its shards — its heartbeats and the
+fan-out behind each ``service.stats`` — travel the shards' pipes and
+count nowhere; on a supervisor, every count field is its own count
+plus every shard's.
 """
 
 from __future__ import annotations
@@ -122,12 +123,11 @@ class Server:
         return changes(before, self.stats())
 
     def expect(self, **deltas) -> dict:
-        """``deltas`` and zero elsewhere, plus the requests of the one
-        ``service.stats`` call inside a delta: its own, and on a
-        supervisor the fan-out to each shard."""
+        """``deltas`` and zero elsewhere, plus the one request of the
+        ``service.stats`` call inside a delta."""
         out = dict.fromkeys(COUNTS, 0)
         out.update(deltas)
-        out["requests"] += 1 + self.shards
+        out["requests"] += 1
         return out
 
     def route(self, session: str) -> tuple[tuple[str, int], int]:
@@ -164,7 +164,7 @@ class Server:
 
 def start(shards: int, **kwargs) -> ServiceThread:
     if shards:
-        kwargs.update(shards=shards, heartbeat_interval=3600.0)
+        kwargs["shards"] = shards
     return ServiceThread(**kwargs).start()
 
 
@@ -368,6 +368,21 @@ class TestSessionsAndQueue:
         )
         slow_server.wait_idle()
         assert slow_server.stats()["queued"] == 0
+
+
+class TestIdle:
+    def test_an_idle_supervisor_counts_only_its_callers(self):
+        # Two seconds of the default heartbeat: four pings to each
+        # shard, none of which is a client's request.
+        srv = start(2)
+        server = Server(srv, 2)
+        try:
+            before = server.stats()
+            time.sleep(2.0)
+            assert changes(before, server.stats()) == server.expect()
+        finally:
+            server.close()
+            srv.stop()
 
 
 class TestRestart:

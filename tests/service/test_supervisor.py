@@ -317,14 +317,17 @@ class TestChaosCrashPoint:
 
 
 class TestCrashLoopBreaker:
+    @pytest.mark.parametrize("journaled", [False, True], ids=["memory", "wal"])
     def test_shard_serving_direct_traffic_is_not_crash_looping(
-        self, monkeypatch
+        self, monkeypatch, tmp_path, journaled
     ):
         # Every life acknowledges one command on its data socket and
         # dies: a productive life each time, so restarts stay prompt
-        # and the circuit never opens.
+        # and the circuit never opens.  With WALs too: the one
+        # acknowledgement of a life is always the client's.
         monkeypatch.setenv("REPRO_CHAOS", "kill-shard-after:1")
-        with ServiceThread(shards=1) as srv:
+        journal_dir = tmp_path if journaled else None
+        with ServiceThread(shards=1, journal_dir=journal_dir) as srv:
             governor = srv.service.shards[0].governor
             with client_for(srv, session="looper") as client:
                 for call in range(8):
@@ -335,3 +338,26 @@ class TestCrashLoopBreaker:
                     assert not governor.circuit_open, call
                 assert client.direct_calls == 8
             assert governor.failures == 0
+
+    def test_silent_shard_is_killed_until_the_circuit_opens(
+        self, monkeypatch
+    ):
+        # Every life answers two heartbeats, then goes silent without
+        # serving anything: each is killed at the heartbeat timeout,
+        # and three such deaths in a row open the circuit.
+        monkeypatch.setenv("REPRO_CHAOS", "drop-heartbeat-after:2")
+        with ServiceThread(
+            shards=1,
+            heartbeat_interval=0.1,
+            heartbeat_timeout=0.5,
+            governor_kwargs={"max_failures": 3},
+        ) as srv:
+            with client_for(srv) as control:
+                deadline = time.monotonic() + 30
+                while time.monotonic() < deadline:
+                    (shard,) = control.call("service.stats").shards
+                    if shard.restarts >= 2 and shard.circuit_open:
+                        break
+                    time.sleep(0.1)
+                else:
+                    raise TimeoutError(f"circuit never opened: {shard}")
