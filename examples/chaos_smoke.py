@@ -73,7 +73,10 @@ def pick_session_names() -> list[str]:
 
 
 def session_tape(name: str) -> list[tuple[str, dict]]:
-    """200 commands: a setup prefix, then replay-idempotent edits."""
+    """200 commands: a setup prefix, then rotations and relative
+    moves.  Delivery is at-least-once, so a retried edit whose
+    acknowledgement was lost applies twice; each stays valid under
+    strict replay."""
     tape: list[tuple[str, dict]] = [
         ("new_cell", {"name": "work"}),
         ("create", {"at": (0, 20000), "cell_name": "nand", "name": "g0"}),

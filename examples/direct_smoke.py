@@ -11,11 +11,15 @@ The scenario CI runs (job ``direct-path-smoke``):
 3. SIGKILL one shard mid-burst: its clients lose their data socket,
    ask for a new route, are refused (``service.shard_failed`` with a
    restart estimate) while the shard is down, and retry until the
-   restarted shard — leased under a bumped generation — takes their
+   restarted shard — routed under a bumped generation — takes their
    commands; the other shard's sessions stay undisturbed;
 4. every acknowledged command, before and after the kill, went
    direct to a shard;
-5. shut down gracefully, then recover every session's WAL offline and
+5. one shard's address, from ``service.route``, gets an unstamped
+   ``new_cell`` (no generation) for a session the ring gives the other
+   shard: it answers ``service.moved``, and no WAL for that session
+   appears under the wrong shard;
+6. shut down gracefully, then recover every session's WAL offline and
    strict-replay it: every acknowledged command is durable, in order,
    nothing torn.
 
@@ -28,6 +32,7 @@ from __future__ import annotations
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -84,8 +89,11 @@ def start_server(journal_dir: str) -> tuple[subprocess.Popen, str, int]:
 
 
 def burst(clients: dict[str, ServiceClient], count: int, acked: dict) -> None:
-    """Interleave ``count`` replay-idempotent edits across every
-    session, round-robin, so a kill always lands mid-burst."""
+    """Interleave ``count`` edits across every session, round-robin, so
+    a kill always lands mid-burst.  They are rotations and relative
+    moves: delivery is at-least-once, so a retried edit whose
+    acknowledgement was lost applies twice, and each stays valid under
+    strict replay."""
     for i in range(count):
         for name, client in clients.items():
             if i % 2:
@@ -93,6 +101,22 @@ def burst(clients: dict[str, ServiceClient], count: int, acked: dict) -> None:
             else:
                 client.call("rotate", name="g0")
             acked[name] += 1
+
+
+def send_unstamped(host: str, port: int, session: str):
+    """One ``new_cell`` line with no generation, on a fresh socket: the
+    decoded response envelope."""
+    from repro.api import wire
+    from repro.api.types import NewCellRequest
+
+    line = wire.encode_request(
+        "new_cell", NewCellRequest(name="stray"), id=1, session=session
+    )
+    with socket.create_connection((host, port), timeout=30) as sock:
+        with sock.makefile("rwb") as file:
+            file.write(line.encode("utf-8") + b"\n")
+            file.flush()
+            return wire.parse_response(file.readline())
 
 
 def wait_for_restart(control, index: int, deadline: float = 30.0) -> None:
@@ -172,7 +196,7 @@ def main() -> int:
         print("ok: kill absorbed; the victims re-routed to the restarted "
               "shard while the bystanders stayed undisturbed")
 
-        # Phase 3: the restarted shard is leased under a bumped
+        # Phase 3: the restarted shard is routed under a bumped
         # generation, and every command so far went direct.
         wait_for_restart(control, VICTIM_SHARD)
         route = control.call("service.route", session=victims[0])
@@ -183,11 +207,24 @@ def main() -> int:
                 name, client.direct_calls, acked[name]
             )
         print("ok: every acknowledged command went direct to a shard "
-              f"(victim lease generation {route.generation})")
+              f"(victim route generation {route.generation})")
 
-        # The merged direct-request counter is a lower bound only: the
-        # killed shard's count died with it (restart resets it), so
-        # check against the bystanders — their shard never restarted.
+        # Phase 4: a session command with no generation, sent to the
+        # wrong shard, runs nowhere: a shard checks the ring on every
+        # session command, so no session gets a second WAL.
+        stray = bystanders[0]
+        answer = send_unstamped(route.host, route.port, stray)
+        assert not answer.ok and answer.error.code == "service.moved", answer
+        wrong_wal = Path(tmp) / f"shard-{route.shard}" / f"{stray}.wal"
+        assert not wrong_wal.exists(), wrong_wal
+        print(f"ok: shard-{route.shard} refused unstamped {stray} "
+              f"(owned by shard-{ring.shard_for(stray)}) with service.moved; "
+              "no WAL under the wrong shard")
+
+        # The merged direct-request counter is a lower bound only: a
+        # killed shard's last heartbeat snapshot survives it, but what
+        # it counted after that heartbeat died with it, so check
+        # against the bystanders — their shard never restarted.
         stats = control.call("service.stats")
         assert stats.direct_requests >= sum(
             clients[n].direct_calls for n in bystanders

@@ -62,26 +62,14 @@ class RequestEnvelope:
     #: request yields a single trace stitched across client and
     #: shard.  ``None`` (the default) everywhere tracing is off.
     trace: dict | None = None
-    #: Route-lease generation for a **direct-to-shard** request.  A
-    #: client that dialed a shard's data socket stamps the generation
-    #: from its ``service.route`` lease here; the shard refuses the
-    #: request with ``service.moved`` when the generation is stale
-    #: (the shard restarted) or the session hashes to a different
-    #: shard.  ``None`` (and omitted from the wire) on every other
-    #: request, so old servers never see the field.
+    #: The shard's restart generation, on a **direct-to-shard**
+    #: request.  A client that dialed a shard's data socket stamps the
+    #: generation its ``service.route`` answer named here; the shard
+    #: refuses the request with ``service.moved`` when the generation
+    #: is stale (the shard restarted since).  ``None`` (and omitted
+    #: from the wire) on every other request, so old servers never see
+    #: the field.
     generation: int | None = None
-
-
-@dataclass(frozen=True)
-class ErrorDetail:
-    """Structured payload shared by routing errors (``service.moved``,
-    ``service.shard_failed``): which shard, which lease generation, and
-    — when the owner is reachable — the address to redial."""
-
-    shard: int | None = None
-    generation: int | None = None
-    host: str | None = None
-    port: int | None = None
 
 
 @dataclass(frozen=True)
@@ -93,9 +81,6 @@ class ErrorInfo:
     #: ``service.moved``) tell the client how many milliseconds to
     #: wait before trying again.  Absent (``None``) everywhere else.
     retry_after_ms: int | None = None
-    #: Structured routing detail; omitted from the wire when ``None``
-    #: so old clients keep parsing new servers' errors.
-    detail: ErrorDetail | None = None
 
 
 @dataclass(frozen=True)
@@ -160,7 +145,7 @@ def encode_request(
         "v": PROTOCOL_VERSION,
     }
     if generation is not None:
-        # Present only with a route lease: lines without one stay
+        # Present only on a direct request: lines without one stay
         # parseable by pre-direct-routing servers (strict codec rejects
         # unknowns).
         data["generation"] = generation
@@ -210,10 +195,6 @@ def encode_error(
         "message": str(exc_or_code),
         "retry_after_ms": getattr(exc_or_code, "retry_after_ms", None),
     }
-    detail = getattr(exc_or_code, "detail", None)
-    if isinstance(detail, ErrorDetail):
-        # Present only when set: pre-direct-routing clients keep parsing.
-        error["detail"] = to_jsonable(detail)
     return _response(id, None, False, None, error, stages)
 
 
@@ -231,8 +212,7 @@ def parse_response(line: str | bytes) -> ResponseEnvelope:
 def response_error(envelope: ResponseEnvelope) -> ReproError:
     """The failure a response envelope carries, rebuilt as a
     :class:`ReproError` with the code — and any ``retry_after_ms``
-    pacing hint or structured ``detail`` — preserved."""
+    pacing hint — preserved."""
     error = ReproError(envelope.error.message, code=envelope.error.code)
     error.retry_after_ms = envelope.error.retry_after_ms
-    error.detail = envelope.error.detail
     return error

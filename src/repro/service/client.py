@@ -17,15 +17,14 @@ the *control wire*: the supervisor, or a single-process server.  On
 connect the client sends ``service.hello`` once.  A single-process
 server executes session commands on that same socket.  A supervisor
 executes none; it advertises the ``direct_routing`` capability, so the
-client asks ``service.route`` for the owning shard's address (a lease
-with a generation number and a TTL), dials the shard, and stamps the
-generation on every session command it sends there.  The
-``service.*`` control plane always stays on the control wire.
+client asks ``service.route`` for the owning shard's address and
+restart generation, dials the shard, and stamps the generation on
+every session command it sends there.  The ``service.*`` control
+plane always stays on the control wire.
 
-``service.moved`` — a stale generation after a shard restart, or a
-ring move — refreshes the route: when the error's ``detail`` carries
-the new address and generation the client adopts it in place,
-otherwise it asks the supervisor again.
+The route rule is one sentence: a route is cached until a
+``service.moved`` or a dropped data wire forgets it, and the next
+attempt asks ``service.route``.
 
 The client rides out transient failures by itself (capped exponential
 backoff with jitter, see :class:`RetryPolicy`):
@@ -37,16 +36,16 @@ backoff with jitter, see :class:`RetryPolicy`):
   *every* method (after re-routing), honouring the server's
   ``retry_after_ms`` pacing hint: each is a refusal raised before the
   command is queued — a route refused while the shard is down or
-  crash-looping, a stale lease, a full queue, a shed — so nothing
-  executed;
+  crash-looping, a stale generation, a full queue, a shed — so
+  nothing executed;
 * a failed wire is retried (after reconnecting / re-routing) for
   every method while the request was not yet sent — a shard socket
   that refuses the dial — and once it was, only for *replayable*
-  commands, read-only queries and the ``service.*`` control plane.  A
-  replayable command that reached the WAL before the crash is
-  re-applied by replay, so the retry converges on the same state; a
-  non-replayable command (plots, file writes) is not known to be
-  idempotent and its failure is surfaced instead.
+  commands, read-only queries and the ``service.*`` control plane.
+  That retry is at-least-once: an edit that ran but whose
+  acknowledgement was lost runs again, so it is applied twice, and
+  its WAL holds it twice.  A non-replayable command (plots, file
+  writes) is not re-sent once sent; its failure is surfaced instead.
 
 Everything else — command errors, bad requests, shutdown — raises
 immediately; retrying cannot help.
@@ -57,7 +56,7 @@ from __future__ import annotations
 import random
 import socket
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.api.codec import from_jsonable
 from repro.api.registry import REGISTRY, spec_for
@@ -165,13 +164,12 @@ class ServiceClient:
         self._sleep = sleep if sleep is not None else time.sleep
         self._sock: socket.socket | None = None
         self._file = None
-        #: The data wire to the session's shard (lazy: ``None`` until
-        #: the first routed request, and again after every failure).
+        #: The session's route, and the data wire to its shard (lazy:
+        #: ``None`` until the first routed request, and again once a
+        #: ``service.moved`` or a dropped data wire forgets them).
+        self._route: control.RouteResult | None = None
         self._direct_sock: socket.socket | None = None
         self._direct_file = None
-        self._direct_target: tuple[str, int] | None = None
-        self._route: control.RouteResult | None = None
-        self._route_expires = 0.0
         self._next_id = 0
         #: What the server's ``service.hello`` advertised — empty for
         #: pre-handshake servers, which reject the command.
@@ -184,7 +182,7 @@ class ServiceClient:
         #: the schedule; bounded by attempts so it cannot grow unruly).
         self.retry_delays: list[float] = []
         #: Requests answered over the shard's own data socket, and how
-        #: many ``service.route`` round trips the lease cache needed.
+        #: many ``service.route`` round trips the route cache needed.
         self.direct_calls = 0
         self.route_refreshes = 0
         #: The last response's stage decomposition (integer µs), with
@@ -250,41 +248,35 @@ class ServiceClient:
             and not method.startswith("service.")
         )
 
-    def _lease(self) -> control.RouteResult:
-        """The cached route lease, renewed through the supervisor when
-        missing or expired.  Single-shot: a refusal raises into the
-        request loop, which retries it."""
-        now = time.monotonic()
-        if self._route is not None and now < self._route_expires:
-            return self._route
-        self._route = None
-        answer = self._round_trip(
-            "service.route",
-            control.RouteRequest(session=self.session),
-            file=self._file,
-        )
-        self.route_refreshes += 1
-        if not answer.direct:
-            raise ServiceError(
-                f"server offered no route for session {self.session!r}"
+    def _session_route(self) -> control.RouteResult:
+        """The cached route, or ``service.route``'s answer when none is
+        cached.  Single-shot: a refusal raises into the request loop,
+        which retries it."""
+        if self._route is None:
+            answer = self._round_trip(
+                "service.route",
+                control.RouteRequest(session=self.session),
+                file=self._file,
             )
-        self._route = answer
-        self._route_expires = now + max(answer.lease_ms, 0) / 1000.0
-        return answer
+            self.route_refreshes += 1
+            if not answer.direct:
+                raise ServiceError(
+                    f"server offered no route for session {self.session!r}"
+                )
+            self._route = answer
+        return self._route
 
     def _dial(self, route: control.RouteResult) -> None:
         """Connect the data wire to ``route``'s shard, unless it is."""
-        target = (route.host, route.port)
-        if self._direct_file is not None and self._direct_target == target:
-            return
-        self._close_direct()
-        self._direct_sock = socket.create_connection(
-            target, timeout=self.timeout
-        )
-        self._direct_file = self._direct_sock.makefile("rwb")
-        self._direct_target = target
+        if self._direct_file is None:
+            self._direct_sock = socket.create_connection(
+                (route.host, route.port), timeout=self.timeout
+            )
+            self._direct_file = self._direct_sock.makefile("rwb")
 
-    def _close_direct(self) -> None:
+    def _forget_route(self) -> None:
+        """Drop the route and close its data wire."""
+        self._route = None
         if self._direct_file is not None:
             try:
                 self._direct_file.close()
@@ -297,38 +289,6 @@ class ServiceClient:
             except OSError:
                 pass
             self._direct_sock = None
-        self._direct_target = None
-
-    def _forget_route(self) -> None:
-        self._close_direct()
-        self._route = None
-        self._route_expires = 0.0
-
-    def _absorb_moved(self, exc: ReproError) -> None:
-        """Fold a ``service.moved`` into the route cache: adopt the
-        address/generation its detail carries (a restarted shard
-        answering on its pinned port), or forget the route so the next
-        attempt re-asks the supervisor."""
-        self._close_direct()
-        detail = getattr(exc, "detail", None)
-        route = self._route
-        self._route = None
-        if (
-            route is not None
-            and detail is not None
-            and detail.host
-            and detail.port is not None
-            and detail.generation is not None
-        ):
-            self._route = replace(
-                route,
-                shard=detail.shard if detail.shard is not None else route.shard,
-                host=detail.host,
-                port=detail.port,
-                generation=detail.generation,
-            )
-        else:
-            self._route_expires = 0.0
 
     # -- requests ------------------------------------------------------------
 
@@ -348,7 +308,7 @@ class ServiceClient:
             try:
                 file, generation = self._file, None
                 if routed:
-                    route = self._lease()
+                    route = self._session_route()
                     on_direct = True
                     self._dial(route)
                     file, generation = self._direct_file, route.generation
@@ -362,7 +322,7 @@ class ServiceClient:
             except ReproError as exc:
                 code = getattr(exc, "code", None)
                 if code == "service.moved":
-                    self._absorb_moved(exc)
+                    self._forget_route()
                 if last_attempt or code not in REFUSALS:
                     raise
                 hint = getattr(exc, "retry_after_ms", None)
@@ -430,7 +390,7 @@ class ServiceClient:
         return from_jsonable(result_cls, envelope.result, where=method)
 
     def close(self) -> None:
-        self._close_direct()
+        self._forget_route()
         if self._file is not None:
             try:
                 self._file.close()

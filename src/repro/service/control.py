@@ -12,10 +12,11 @@ Three of them form the negotiated routing handshake:
   clients gate behavior on the capability set instead of guessing
   from the topology.
 * ``service.route`` — the supervisor maps a session id to its owning
-  shard's data-socket address plus a lease (generation number + TTL).
-  Clients dial the shard directly and re-route when the lease expires
-  or a ``service.moved`` error says the generation went stale; a down
-  shard is answered with an error carrying a retry hint.
+  shard's data-socket address and restart generation.  Clients dial
+  the shard directly, stamp the generation on each session command
+  and keep the route until a ``service.moved`` or a dropped data wire
+  makes them ask again; a down shard is answered with an error
+  carrying a retry hint.
 * ``service.describe`` — the typed registry exported as a
   machine-readable :class:`repro.api.manifest.Manifest`.
 """
@@ -122,8 +123,8 @@ class ServiceStatsResult:
     queued: int = 0
     shed: int = 0
     shard_failures: int = 0
-    #: Requests that arrived on a shard's own data socket (stamped with
-    #: a route-lease generation) rather than through the supervisor.
+    #: Requests that arrived on a shard's own data socket, stamped
+    #: with the generation of the route the client holds.
     direct_requests: int = 0
     shards: tuple[ShardStats, ...] = ()
     #: Shared cell library traffic (zero when no --library-dir).
@@ -283,9 +284,6 @@ class RouteResult:
     #: The shard's restart generation.  Direct requests stamp it; a
     #: mismatch (the shard restarted since) answers ``service.moved``.
     generation: int | None = None
-    #: How long the lease is good for, in milliseconds.  After expiry
-    #: the client should re-route before the next direct dial.
-    lease_ms: int = 0
 
 
 @dataclass(frozen=True)

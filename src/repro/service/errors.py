@@ -6,10 +6,8 @@ never the message text.
 
 The error *shape* is uniform across the family: every instance carries
 ``retry_after_ms`` (a pacing hint in milliseconds, ``None`` when the
-condition is not retryable or the server has no estimate) and
-``detail`` (a structured :class:`repro.api.wire.ErrorDetail` naming the
-shard/generation/address involved, ``None`` elsewhere).  Both travel in
-the ``error`` object of the response envelope.
+condition is not retryable or the server has no estimate), which
+travels in the ``error`` object of the response envelope.
 """
 
 from __future__ import annotations
@@ -20,23 +18,17 @@ from repro.errors import ReproError
 class ServiceError(ReproError):
     """Base for conditions raised by the service layer itself.
 
-    Accepts the uniform retry/detail payload so every subclass shares
-    one error shape on the wire.
+    Accepts the uniform retry hint so every subclass shares one error
+    shape on the wire.
     """
 
     code = "service.error"
 
     def __init__(
-        self,
-        message: str = "",
-        *,
-        retry_after_ms: int | None = None,
-        detail=None,
-        **kwargs,
+        self, message: str = "", *, retry_after_ms: int | None = None, **kwargs
     ):
         super().__init__(message, **kwargs)
         self.retry_after_ms = retry_after_ms
-        self.detail = detail
 
 
 class BadSessionName(ServiceError):
@@ -79,8 +71,7 @@ class ShardFailedError(ServiceError):
     shard executed before dying is in its WAL, and comes back by
     salvage + replay when its session next opens on the restarted
     shard.  ``retry_after_ms`` estimates how long the restart will
-    take; ``detail`` names the shard and the generation the restart
-    will supersede."""
+    take."""
 
     code = "service.shard_failed"
 
@@ -97,11 +88,9 @@ class OverloadedError(ServiceError):
 class SessionMovedError(ServiceError):
     """The request reached a process that does not execute it: a shard
     that is not the session's ring owner, a shard that restarted since
-    the request's route lease was issued, or the supervisor (which
-    executes no session command).  Nothing was executed.  ``detail``
-    carries the owner's coordinates when the answering process knows
-    them — the address and current generation for a stale lease or a
-    command sent to the supervisor.  Clients adopt them, or ask
-    ``service.route`` again, and retry the command, whatever it is."""
+    the route the request was stamped from, or the supervisor (which
+    executes no session command).  Nothing was executed.  Clients
+    forget their route, ask ``service.route`` again and retry the
+    command, whatever it is."""
 
     code = "service.moved"

@@ -24,7 +24,7 @@ Subclasses supply :meth:`LineServer._session_command` and the
 handlers.  :class:`repro.service.server.RiotService` — the
 single-process server, and each shard — executes session commands;
 :class:`repro.service.supervisor.Supervisor` executes none, and
-answers with where the session lives.
+answers ``service.moved``.
 """
 
 from __future__ import annotations

@@ -24,24 +24,12 @@ sight.  The policy distinguishes two kinds of death:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 #: The line a shard prints on stdout at its first acknowledged session
 #: command of each life
 #: (:meth:`repro.service.server.RiotService.note_progress`): the
 #: evidence of progress this policy judges a death by.
 PROGRESS = "progress"
-
-
-@dataclass(frozen=True)
-class RestartDecision:
-    """What to do about one shard death."""
-
-    #: Seconds to wait before the restart attempt (0.0 = immediately).
-    delay: float
-    #: True when the circuit just opened: do not restart until
-    #: :meth:`RestartGovernor.may_attempt` says so.
-    circuit_opened: bool
 
 
 class RestartGovernor:
@@ -95,8 +83,9 @@ class RestartGovernor:
 
     # -- transitions ---------------------------------------------------------
 
-    def record_death(self, *, progress: bool) -> RestartDecision:
-        """One shard death; returns how to handle the restart.
+    def record_death(self, *, progress: bool) -> float:
+        """One shard death; returns the seconds to wait before the
+        restart attempt (the whole cooldown when it opens the circuit).
 
         ``progress`` is whether the dead life acknowledged at least one
         command.
@@ -104,23 +93,15 @@ class RestartGovernor:
         if progress:
             self.failures = 0
             self._open_until = None
-            return RestartDecision(delay=self.base_delay, circuit_opened=False)
+            return self.base_delay
         self.failures += 1
         if self.failures >= self.max_failures:
             self._open_until = self._clock() + self.cooldown
-            return RestartDecision(delay=self.cooldown, circuit_opened=True)
-        delay = min(
-            self.max_delay, self.base_delay * (2 ** (self.failures - 1))
-        )
-        return RestartDecision(delay=delay, circuit_opened=False)
+            return self.cooldown
+        return min(self.max_delay, self.base_delay * (2 ** (self.failures - 1)))
 
     def record_progress(self) -> None:
         """An acknowledged command: the shard is healthy; close the
         circuit and reset the streak."""
         self.failures = 0
         self._open_until = None
-
-    def may_attempt(self) -> bool:
-        """Whether a restart attempt is currently allowed (circuit
-        closed, or half-open after the cooldown)."""
-        return not self.circuit_open

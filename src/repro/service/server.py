@@ -315,10 +315,10 @@ class RiotService(LineServer):
         self.timeout = timeout
         #: Sharded-deployment coordinates (supervisor-hosted shards
         #: only): which shard this process is, out of how many, and
-        #: the restart generation the supervisor spawned it with.
-        #: Direct-to-shard requests stamp the generation from their
-        #: route lease; a mismatch — or a session that hashes to a
-        #: different shard — answers ``service.moved``.
+        #: the restart generation the supervisor spawned it with.  A
+        #: session command for a session that hashes to a different
+        #: shard, or a direct request stamped with another generation,
+        #: answers ``service.moved``.
         self.shard_count = shard_count
         self.shard_index = shard_index
         self.generation = generation
@@ -390,7 +390,7 @@ class RiotService(LineServer):
     async def _session_command(self, envelope: wire.RequestEnvelope) -> str:
         if envelope.generation is not None:
             self._direct.inc()
-            self._check_lease(envelope)
+        self._check_route(envelope)
         if self.shed_at is not None and self.inflight >= self.shed_at:
             self._shed.inc()
             return wire.encode_error(
@@ -412,10 +412,12 @@ class RiotService(LineServer):
             self._backpressure.inc()
             return wire.encode_error(envelope.id, exc)
 
-    def _check_lease(self, envelope) -> None:
-        """Refuse a direct-to-shard request whose route lease is wrong
-        (never, on a single-process server — the connection already is
-        the data path)."""
+    def _check_route(self, envelope) -> None:
+        """Refuse a session command this shard must not run (never, on
+        a single-process server): one for a session the ring gives
+        another shard, stamped or not, so no session ever runs on two
+        shards; and a direct request stamped with a generation from
+        before this shard's last restart."""
         if self.shard_index is None:
             return
         if self._ring is not None:
@@ -424,24 +426,14 @@ class RiotService(LineServer):
                 raise SessionMovedError(
                     f"session {envelope.session!r} lives on shard "
                     f"{owner}, not {self.shard_index}; re-route via the "
-                    "supervisor",
-                    detail=wire.ErrorDetail(shard=owner),
+                    "supervisor"
                 )
-        if envelope.generation != self.generation:
-            # This shard restarted since the lease was issued: the WAL
-            # has been replayed and the address may have been handed
-            # around, so the client must refresh before trusting it.
+        if envelope.generation not in (None, self.generation):
             raise SessionMovedError(
-                f"route lease generation {envelope.generation} is stale "
+                f"route generation {envelope.generation} is stale "
                 f"(shard {self.shard_index} is at {self.generation}); "
                 "refresh the route",
                 retry_after_ms=25,
-                detail=wire.ErrorDetail(
-                    shard=self.shard_index,
-                    generation=self.generation,
-                    host=self.host,
-                    port=self.port,
-                ),
             )
 
     # -- the control plane ---------------------------------------------------

@@ -3,11 +3,13 @@
 A shard is a full :class:`repro.service.server.RiotService` — the same
 session workers, queues, deadlines and per-session WALs as the
 single-process server — running in its own interpreter with its own
-WAL directory, listening on a loopback port it prints at startup
-(``listening on HOST:PORT``).  That socket is the shard's **data
-plane**: clients holding a ``service.route`` lease dial it directly,
-stamping the lease's generation on each request; the shard refuses
-stale generations and wrong-shard sessions with ``service.moved``.
+WAL directory, listening on a loopback port the kernel picks for each
+life, which it prints at startup (``listening on HOST:PORT``).  That socket is the
+shard's **data plane**: clients dial the address ``service.route``
+named, stamping its generation on each request.  The shard refuses
+with ``service.moved`` a stamped request whose generation is not its
+own, and any session command, stamped or not, for a session the ring
+gives another shard, so no session ever runs on two shards.
 Crash isolation is the point: a shard that segfaults, OOMs, or is
 SIGKILLed takes only its own sessions down, and those resume by WAL
 salvage + replay when the supervisor restarts it.
@@ -131,12 +133,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--index", type=int, default=0,
         help="this shard's index (labels, and ring-ownership checks "
-             "for direct requests when --shards > 1)",
+             "when --shards > 1)",
     )
     parser.add_argument(
         "--shards", type=int, default=0,
         help="total shard count; > 1 enables the consistent-hash "
-             "ownership check on direct-to-shard requests",
+             "ownership check on every session command",
     )
     parser.add_argument(
         "--generation", type=int, default=0,

@@ -9,22 +9,16 @@ or forwards a session command.
 * **Routing** — sessions map to shards by consistent hash
   (:class:`HashRing`), so a session name lands on the same shard across
   requests, connections *and shard restarts*.  ``service.route``
-  admits the session and answers with its shard's own listening
-  address plus a lease: the shard index, its restart *generation*, and
-  a TTL.
+  admits the session and answers with its shard's index, its own
+  listening address and its restart *generation*.
 * **Data plane** — the client dials that address and stamps the
   generation on every session command; the shard refuses stale
-  generations and wrong-shard sessions with ``service.moved``
-  (carrying its current coordinates).  A session command sent to the
-  supervisor itself executes nothing: it gets the answer
-  ``service.route`` would give — ``service.moved`` naming the owner's
-  address while the owner is up, the down-shard error below while it
-  is not.
-
-Shard data ports are *pinned* across restarts (the respawn reuses the
-dead shard's port), so the address in a stale client's lease — and in
-the ``service.moved`` detail — usually survives the restart; only the
-generation moves.
+  generations and wrong-shard sessions with ``service.moved``, and the
+  client asks ``service.route`` again.  A session command sent to the
+  supervisor itself is answered with a plain ``service.moved``: the
+  supervisor neither runs nor admits it.  Every shard life asks the
+  kernel for a port (``--port 0``), so a restart may move the address
+  as well as the generation.
 
 Robustness model:
 
@@ -138,16 +132,12 @@ class ShardHandle:
         self.proc: asyncio.subprocess.Process | None = None
         self.alive = False
         #: Bumped on every death; guards stale life/heartbeat callbacks
-        #: *and* is the route-lease generation clients stamp on direct
+        #: *and* is the route generation clients stamp on direct
         #: requests (the shard is spawned with ``--generation`` set to
         #: it, so both sides agree).
         self.generation = 0
-        #: The shard's own listening address — the direct data plane.
-        #: ``data_port`` is pinned across restarts: the respawn asks
-        #: for the same port, so stale leases still point somewhere
-        #: that answers (with ``service.moved`` and the new
-        #: generation).  Reset to ``None`` when a pinned respawn fails
-        #: (port stolen) so the next attempt falls back to port 0.
+        #: The current life's own listening address — the direct data
+        #: plane, read from its banner.
         self.data_host: str | None = None
         self.data_port: int | None = None
         #: Request id -> response future, for the supervisor's own
@@ -199,7 +189,6 @@ class Supervisor(LineServer):
         spawn_timeout: float = 30.0,
         governor_kwargs: dict | None = None,
         trace_path: str | None = None,
-        route_lease: float = 5.0,
     ) -> None:
         if shards < 1:
             raise ValueError("need at least one shard")
@@ -221,8 +210,6 @@ class Supervisor(LineServer):
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self.spawn_timeout = spawn_timeout
-        #: How long a ``service.route`` lease is good for, in seconds.
-        self.route_lease = route_lease
         self.governor_kwargs = governor_kwargs or {}
         #: When the supervisor itself is being traced, each shard gets
         #: ``--trace <trace_path>.shard<i>`` so a run leaves one trace
@@ -266,11 +253,8 @@ class Supervisor(LineServer):
             "repro.service.shard",
             "--host",
             "127.0.0.1",
-            # Pin the data port across restarts (0 only the first
-            # life): stale route leases keep pointing at a socket
-            # that answers, so redirected clients recover in place.
             "--port",
-            str(handle.data_port or 0),
+            "0",
             "--index",
             str(handle.index),
             "--shards",
@@ -386,9 +370,6 @@ class Supervisor(LineServer):
             f"shard {handle.index} died ({reason}) with this request in "
             "flight; its sessions resume from their WALs after restart",
             retry_after_ms=handle.retry_hint_ms,
-            detail=wire.ErrorDetail(
-                shard=handle.index, generation=handle.generation
-            ),
         )
         for future in pending.values():
             if not future.done():
@@ -412,15 +393,13 @@ class Supervisor(LineServer):
             and life.exception() is None
             and life.result()
         )
-        decision = handle.governor.record_death(progress=progressed)
+        delay = handle.governor.record_death(progress=progressed)
         while True:
-            handle.retry_hint_ms = (
-                int(decision.delay * 1000) + _SPAWN_ESTIMATE_MS
-            )
-            await asyncio.sleep(decision.delay)
+            handle.retry_hint_ms = int(delay * 1000) + _SPAWN_ESTIMATE_MS
+            await asyncio.sleep(delay)
             if self._closing or handle.alive:
                 return
-            if not handle.governor.may_attempt():
+            if handle.governor.circuit_open:
                 return  # circuit opened meanwhile; its own probe is scheduled
             try:
                 await self._spawn(handle)
@@ -428,13 +407,9 @@ class Supervisor(LineServer):
             except (ServiceError, OSError, asyncio.TimeoutError):
                 if self._closing:
                     return
-            # The pinned port may be what killed the spawn (stolen by
-            # another process while the shard was down); give the next
-            # attempt a fresh one.
-            handle.data_port = None
             handle.generation += 1
             handle.restarts += 1
-            decision = handle.governor.record_death(progress=False)
+            delay = handle.governor.record_death(progress=False)
 
     async def _heartbeat(self, handle: ShardHandle) -> None:
         """Ping the shard down its pipe; silence past the timeout kills."""
@@ -498,9 +473,31 @@ class Supervisor(LineServer):
 
     # -- routing -------------------------------------------------------------
 
-    def _lease(self, session: str) -> control.RouteResult:
-        """Admit ``session`` and lease its shard's data address — or
+    @staticmethod
+    def _down_error(handle: ShardHandle) -> ServiceError:
+        """Why a down shard takes nothing, with when to ask again."""
+        if handle.governor.circuit_open:
+            return OverloadedError(
+                f"shard {handle.index} is crash-looping; circuit open",
+                retry_after_ms=handle.governor.retry_after_ms(),
+            )
+        return ShardFailedError(
+            f"shard {handle.index} is restarting",
+            retry_after_ms=handle.retry_hint_ms,
+        )
+
+    async def _session_command(self, envelope: wire.RequestEnvelope) -> str:
+        raise SessionMovedError(
+            "the supervisor runs no session command; ask service.route "
+            f"where session {envelope.session!r} lives"
+        )
+
+    # -- the control plane ---------------------------------------------------
+
+    async def _on_route(self, request) -> control.RouteResult:
+        """Admit the session and answer with its shard's address — or
         raise why that shard cannot take it right now."""
+        session = request.session
         index = self.session_shard.get(session)
         if index is None:
             self._admit(session, len(self.session_shard))
@@ -515,42 +512,7 @@ class Supervisor(LineServer):
             host=handle.data_host,
             port=handle.data_port,
             generation=handle.generation,
-            lease_ms=int(self.route_lease * 1000),
         )
-
-    @staticmethod
-    def _down_error(handle: ShardHandle) -> ServiceError:
-        """Why a down shard takes nothing, with when to ask again."""
-        if handle.governor.circuit_open:
-            return OverloadedError(
-                f"shard {handle.index} is crash-looping; circuit open",
-                retry_after_ms=handle.governor.retry_after_ms(),
-            )
-        return ShardFailedError(
-            f"shard {handle.index} is restarting",
-            retry_after_ms=handle.retry_hint_ms,
-            detail=wire.ErrorDetail(
-                shard=handle.index, generation=handle.generation
-            ),
-        )
-
-    async def _session_command(self, envelope: wire.RequestEnvelope) -> str:
-        route = self._lease(envelope.session)
-        raise SessionMovedError(
-            f"session {envelope.session!r} lives on shard {route.shard} "
-            f"at {route.host}:{route.port}; send it there",
-            detail=wire.ErrorDetail(
-                shard=route.shard,
-                generation=route.generation,
-                host=route.host,
-                port=route.port,
-            ),
-        )
-
-    # -- the control plane ---------------------------------------------------
-
-    async def _on_route(self, request) -> control.RouteResult:
-        return self._lease(request.session)
 
     async def _on_ping(self, request) -> control.PingResult:
         return control.PingResult(

@@ -19,7 +19,7 @@ The stage names, in request order:
     handler returns, so it covers ``shard_queue`` and ``handler``.
     Socket read, parse, encode and write fall outside it, so the
     client's round trip minus ``direct`` is the wire's share (absent
-    on single-process requests, which carry no route lease);
+    on single-process requests, which carry no route generation);
 ``shard_queue``
     waiting in the session's bounded command queue for its one thread;
 ``handler``

@@ -33,9 +33,9 @@ from .test_wire import sample_instance
 MANIFEST = build_manifest(CONTROL)
 CODEC = ManifestCodec(MANIFEST)
 
-#: sha256 of ``canonical_json(build_manifest(CONTROL))``: 21,205 bytes.
+#: sha256 of ``canonical_json(build_manifest(CONTROL))``: 21,155 bytes.
 #: A new command, field or error code changes it on purpose.
-MANIFEST_SHA256 = "5efcb02d0d68d7cdd67d839be4b026ab56537fc3ccafdf6c6b6e306ee362dad3"
+MANIFEST_SHA256 = "2eb5ab586ffb79e0f8f161b94ccd7d769b6fac310d6010bcf2eb4aaf1e0f284c"
 
 
 def sample_node(node, depth: int):

@@ -241,40 +241,9 @@ class TestRegistryContract:
         for exc_type, code in codes.items():
             assert exc_type("x").code == code
 
-    def test_error_detail_survives_the_wire(self):
-        from repro.api import wire
-        from repro.service.errors import SessionMovedError
-
-        line = wire.encode_error(
-            9,
-            SessionMovedError(
-                "stale lease",
-                retry_after_ms=25,
-                detail=wire.ErrorDetail(
-                    shard=3, generation=2, host="127.0.0.1", port=7453
-                ),
-            ),
-        )
-        envelope = wire.parse_response(line)
-        assert envelope.error.detail == wire.ErrorDetail(
-            shard=3, generation=2, host="127.0.0.1", port=7453
-        )
-        rebuilt = wire.response_error(envelope)
-        assert rebuilt.code == "service.moved"
-        assert rebuilt.detail.port == 7453
-
-    def test_error_detail_omitted_when_absent(self):
-        # Old clients parse new servers' plain errors: no detail key.
-        from repro.api import wire
-        from repro.api.errors import BadRequest
-
-        line = wire.encode_error(1, BadRequest("nope"))
-        assert '"detail"' not in line
-        assert wire.parse_response(line).error.detail is None
-
     def test_relay_requests_omit_the_generation_key(self):
         # Old servers parse new clients' lines that carry no route
-        # lease: no generation key.
+        # generation: no generation key.
         from repro.api import wire
 
         line = wire.encode_request(

@@ -14,7 +14,7 @@ import pytest
 
 from repro.api.errors import UnknownCommand
 from repro.api.types import PROTOCOL_VERSION
-from repro.api.wire import ErrorDetail, encode_error, encode_result
+from repro.api.wire import encode_error, encode_result
 from repro.errors import ReproError
 from repro.service.client import NO_RETRY, RetryPolicy, ServiceClient
 from repro.service.control import HelloResult, PingResult
@@ -58,9 +58,7 @@ def _respond(behavior: str, envelope: dict) -> str | None:
         return encode_error(
             id,
             SessionMovedError(
-                "route lease generation 0 is stale",
-                retry_after_ms=5,
-                detail=ErrorDetail(shard=1, generation=2),
+                "route generation 0 is stale", retry_after_ms=5
             ),
         )
     assert behavior == "drop"
@@ -218,7 +216,7 @@ class TestErrorRetries:
         assert len(srv.requests) == 3
 
     def test_moved_retried_for_replayable(self):
-        # A stale route lease: refresh and retry — new_cell is
+        # A stale route generation: refresh and retry — new_cell is
         # replayable, so a duplicate send is safe.
         with ScriptedServer(["moved", "ok"]) as srv:
             with client_for(srv) as client:
@@ -226,7 +224,7 @@ class TestErrorRetries:
                 assert client.retries == 1
 
     def test_moved_retried_for_side_effect_commands(self):
-        # A stale lease is refused before anything is queued, so even
+        # A stale generation is refused before anything is queued, so even
         # writecif, which is not replayable, is sent again — and runs
         # once, on the attempt that is answered.
         with ScriptedServer(["moved", "ok"]) as srv:

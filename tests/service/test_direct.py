@@ -1,22 +1,29 @@
 """The direct-to-shard data plane, end to end: the negotiated routing
 handshake, direct traffic bypassing the supervisor, the supervisor
-executing no session command, lease-generation staleness after a shard
-restart, route retries through a kill, and the chaos crash-point
-invariant on the direct path — all against real shard subprocesses
-via :class:`ServiceThread`."""
+executing no session command, a shard refusing another shard's
+sessions and a stale route generation after a restart, route retries
+through a kill, and the chaos crash-point invariant on the direct
+path — all against real shard subprocesses via :class:`ServiceThread`."""
 
 from __future__ import annotations
 
 import os
 import signal
+import socket
 import time
 
 import pytest
 
+from repro.api import wire
 from repro.api.types import PROTOCOL_VERSION
 from repro.core import wal
 from repro.errors import ReproError
-from repro.service.client import NO_RETRY, RetryPolicy, ServiceClient
+from repro.service.client import (
+    NO_RETRY,
+    RetryPolicy,
+    ServiceClient,
+    method_types,
+)
 from repro.service.serve import ServiceThread
 from repro.service.supervisor import HashRing
 
@@ -42,6 +49,28 @@ def shard_pid_for(client, index: int) -> int:
 def restarts_of(client, index: int) -> int:
     stats = client.call("service.stats")
     return next(s.restarts for s in stats.shards if s.index == index)
+
+
+def other_shards_session(ring: HashRing, mine: str, stem: str) -> str:
+    """A session name the ring gives a different shard than ``mine``."""
+    i = 0
+    while ring.shard_for(f"{stem}{i}") == ring.shard_for(mine):
+        i += 1
+    return f"{stem}{i}"
+
+
+def send_new_cell(host: str, port: int, session: str, **stamp):
+    """One raw ``new_cell`` line on a fresh socket (``stamp`` may carry
+    a ``generation``); the decoded response envelope."""
+    request_cls, _ = method_types("new_cell")
+    line = wire.encode_request(
+        "new_cell", request_cls(name="x"), id=1, session=session, **stamp
+    )
+    with socket.create_connection((host, port), timeout=30) as sock:
+        with sock.makefile("rwb") as file:
+            file.write(line.encode("utf-8") + b"\n")
+            file.flush()
+            return wire.parse_response(file.readline())
 
 
 def wait_for_restart(
@@ -74,7 +103,7 @@ class TestHandshake:
         assert "telemetry" in hello.capabilities
         assert control.capabilities == hello.capabilities
 
-    def test_route_matches_the_ring_and_leases_generation_zero(self, sup):
+    def test_route_matches_the_ring_at_generation_zero(self, sup):
         ring = HashRing(2)
         with client_for(sup) as control:
             for name in ("dr-a", "dr-b", "dr-c"):
@@ -84,7 +113,6 @@ class TestHandshake:
                 assert route.shard == ring.shard_for(name)
                 assert route.host and route.port
                 assert route.generation == 0
-                assert route.lease_ms > 0
 
     def test_route_performs_admission(self, sup):
         with client_for(sup, retry=NO_RETRY) as control:
@@ -102,21 +130,18 @@ class TestDirectPath:
                 client.call("rotate", name="g0")
             stages = dict(client.last_stages)
         assert client.direct_calls == 5
-        assert client.route_refreshes == 1  # one lease covered the burst
+        assert client.route_refreshes == 1  # one route covered the burst
         assert "direct" in stages and "relay" not in stages
         with client_for(sup) as control:
             stats = control.call("service.stats")
         assert stats.direct_requests >= 5
 
     def test_direct_request_to_the_wrong_shard_is_refused(self, sup):
-        # Dial shard A's data socket, stamp a lease, but name a session
-        # the ring assigns to shard B: the shard itself refuses.
+        # Dial shard A's data socket, stamp its generation, but name a
+        # session the ring assigns to shard B: the shard itself refuses.
         ring = HashRing(2)
-        mine, other = "dr-wrong-a", "dr-wrong-b"
-        i = 0
-        while ring.shard_for(other) == ring.shard_for(mine):
-            i += 1
-            other = f"dr-wrong-b{i}"
+        mine = "dr-wrong-a"
+        other = other_shards_session(ring, mine, "dr-wrong-b")
         with client_for(sup, session=mine) as client:
             client.call("new_cell", name="top")  # direct wire is live
             route = client._route
@@ -125,8 +150,6 @@ class TestDirectPath:
                 route.host, route.port, session=other, retry=NO_RETRY
             ) as intruder:
                 # Forge a direct envelope by stamping the generation.
-                from repro.service.client import method_types
-
                 request_cls, _ = method_types("new_cell")
                 with pytest.raises(ReproError) as excinfo:
                     intruder._round_trip(
@@ -136,86 +159,85 @@ class TestDirectPath:
                         generation=route.generation,
                     )
         assert excinfo.value.code == "service.moved"
-        assert excinfo.value.detail.shard == ring.shard_for(other)
+
+    def test_unstamped_command_for_another_shards_session_is_refused(
+        self, sup
+    ):
+        # No generation on the line, so no route was followed: the
+        # ring check alone keeps the session off a second shard.
+        ring = HashRing(2)
+        mine = "dr-split-a"
+        other = other_shards_session(ring, mine, "dr-split-b")
+        with client_for(sup) as control:
+            route = control.call("service.route", session=mine)
+        answer = send_new_cell(route.host, route.port, other)
+        assert not answer.ok
+        assert answer.error.code == "service.moved"
+        wrong = sup.service.journal_dir / f"shard-{route.shard}"
+        assert not (wrong / f"{other}.wal").exists()
 
 
 @pytest.fixture(scope="class")
-def long_lease(tmp_path_factory):
-    # A lease long enough that it is still cached — and stale — after
-    # the kill/restart cycle these tests stage.
-    journal_dir = tmp_path_factory.mktemp("stale-wals")
-    with ServiceThread(
-        shards=2, journal_dir=journal_dir, route_lease=60.0
-    ) as srv:
+def restartable(tmp_path_factory):
+    # Its own deployment, since these tests kill shards.
+    journal_dir = tmp_path_factory.mktemp("restart-wals")
+    with ServiceThread(shards=2, journal_dir=journal_dir) as srv:
         yield srv
 
 
-class TestStaleLease:
-    def test_stale_generation_adopts_the_new_address_in_place(
-        self, long_lease
-    ):
+def kill_and_restart(srv, index: int) -> None:
+    with client_for(srv) as control:
+        past = restarts_of(control, index)
+        os.kill(shard_pid_for(control, index), signal.SIGKILL)
+        wait_for_restart(control, index, past=past)
+
+
+class TestRestartedShard:
+    def test_previous_generation_is_refused(self, restartable):
         ring = HashRing(2)
         name = "dr-stale"
-        with client_for(long_lease, session=name) as client:
+        index = ring.shard_for(name)
+        with client_for(restartable, session=name) as client:
+            client.call("new_cell", name="top")
+            stale = client._route.generation
+        kill_and_restart(restartable, index)
+        with client_for(restartable) as control:
+            route = control.call("service.route", session=name)
+        assert route.generation > stale
+        supervisor = restartable.service  # every life asks for a fresh port
+        respawn = supervisor._shard_command(supervisor.shards[index])
+        assert respawn[respawn.index("--port") + 1] == "0"
+        path = supervisor.journal_dir / f"shard-{index}" / f"{name}.wal"
+        before = path.read_bytes()
+        answer = send_new_cell(route.host, route.port, name, generation=stale)
+        assert not answer.ok
+        assert answer.error.code == "service.moved"
+        assert path.read_bytes() == before
+        assert [e.command for e in wal.load_path(path).entries] == ["new_cell"]
+
+    def test_next_command_after_a_kill_follows_a_fresh_route(
+        self, restartable
+    ):
+        ring = HashRing(2)
+        name = "dr-reroute"
+        with client_for(restartable, session=name) as client:
             client.call("new_cell", name="top")
             client.call("create", at=(0, 20000), cell_name="nand", name="g0")
             assert client.route_refreshes == 1
-            index = ring.shard_for(name)
-            with client_for(long_lease) as control:
-                past = restarts_of(control, index)
-                os.kill(shard_pid_for(control, index), signal.SIGKILL)
-                wait_for_restart(control, index, past=past)
-            # Simulate an idle client whose direct socket was dropped
-            # while its (now stale) lease survived: the reconnect lands
-            # on the restarted shard's pinned port, which answers
-            # service.moved carrying the new generation — adopted in
-            # place, no supervisor re-route.
-            client._close_direct()
+            kill_and_restart(restartable, ring.shard_for(name))
             assert client.call("rotate", name="g0").name == "g0"
             assert client.retries >= 1
-            assert client.route_refreshes == 1
+            assert client.route_refreshes > 1
             assert client._route.generation >= 1
         # Replay preserved the pre-crash state on the direct path too.
-        with client_for(long_lease, session=name) as fresh:
+        with client_for(restartable, session=name) as fresh:
             assert "top" in fresh.call("cells").names
-
-    def test_stale_lease_retries_side_effect_commands(
-        self, long_lease, tmp_path
-    ):
-        ring = HashRing(2)
-        name = "dr-stale-io"
-        path = str(tmp_path / "x.cif")
-        with client_for(long_lease, session=name) as client:
-            client.call("new_cell", name="top")
-            index = ring.shard_for(name)
-            with client_for(long_lease) as control:
-                past = restarts_of(control, index)
-                os.kill(shard_pid_for(control, index), signal.SIGKILL)
-                wait_for_restart(control, index, past=past)
-            client._close_direct()
-            # The stale-lease refusal ran nothing, so writecif, which
-            # is not replayable, is retried on the adopted route...
-            written = client.call("writecif", cell="top", path=path)
-            assert written.path == path
-            assert client.retries >= 1
-            # ...and ran once: the restarted shard opened the session
-            # for it, replaying the WAL that holds "top".
-            with client_for(long_lease) as control:
-                (info,) = [
-                    s
-                    for s in control.call("service.sessions").sessions
-                    if s.name == name
-                ]
-            assert info.executed == 1
-            assert "top" in client.call("cells").names
 
 
 class TestFailover:
     def test_kill_mid_burst_fails_over_then_re_redirects(self, tmp_path):
         name = "dr-failover"
-        with ServiceThread(
-            shards=1, journal_dir=tmp_path, route_lease=30.0
-        ) as srv:
+        with ServiceThread(shards=1, journal_dir=tmp_path) as srv:
             with client_for(srv, session=name) as client:
                 client.call("new_cell", name="top")
                 client.call(
@@ -247,8 +269,6 @@ class TestOnePath:
     command, and answers for a down shard with a retry hint."""
 
     def test_session_command_sent_to_the_supervisor_answers_moved(self, sup):
-        from repro.service.client import method_types
-
         name = "dr-one-path"
         with client_for(sup, session=name, retry=NO_RETRY) as client:
             route = client.call("service.route", session=name)
@@ -257,20 +277,21 @@ class TestOnePath:
                 client._round_trip(
                     "new_cell", request_cls(name="top"), file=client._file
                 )
-        error = excinfo.value
-        assert error.code == "service.moved"
-        assert (error.detail.host, error.detail.port) == (
-            route.host,
-            route.port,
-        )
-        assert error.detail.shard == route.shard
-        assert error.detail.generation == route.generation
+        assert excinfo.value.code == "service.moved"
         journal_dir = sup.service.journal_dir
         wal_path = journal_dir / f"shard-{route.shard}" / f"{name}.wal"
         assert not wal_path.exists()
         with client_for(sup) as control:
             listed = control.call("service.sessions").sessions
         assert name not in {s.name for s in listed}
+
+    def test_the_supervisor_admits_no_session_it_is_sent(self, sup):
+        host, port = sup.address
+        with client_for(sup) as control:
+            admitted = control.call("service.stats").sessions
+            answer = send_new_cell(host, port, "dr-not-admitted")
+            assert answer.error.code == "service.moved"
+            assert control.call("service.stats").sessions == admitted
 
 
 def route_error_while_down(control, session: str, deadline: float = 1.5):
@@ -303,7 +324,6 @@ class TestDownShardRoute:
                 error = route_error_while_down(control, name)
         assert error.code == "service.shard_failed"
         assert error.retry_after_ms is not None and error.retry_after_ms > 0
-        assert error.detail.shard == 0
 
     def test_non_replayable_command_sent_while_down_runs_once_back(
         self, tmp_path

@@ -29,19 +29,17 @@ def governor(**kwargs) -> tuple[RestartGovernor, FakeClock]:
 class TestBackoff:
     def test_progress_death_restarts_at_base_delay(self):
         gov, _ = governor()
-        decision = gov.record_death(progress=True)
-        assert decision.delay == 0.05
-        assert not decision.circuit_opened
+        assert gov.record_death(progress=True) == 0.05
         assert not gov.circuit_open
 
     def test_no_progress_deaths_double_the_delay(self):
         gov, _ = governor()
-        delays = [gov.record_death(progress=False).delay for _ in range(4)]
+        delays = [gov.record_death(progress=False) for _ in range(4)]
         assert delays == [0.05, 0.1, 0.2, 0.4]
 
     def test_delay_caps_at_max(self):
         gov, _ = governor(max_delay=0.2, max_failures=100)
-        delays = [gov.record_death(progress=False).delay for _ in range(5)]
+        delays = [gov.record_death(progress=False) for _ in range(5)]
         assert delays == [0.05, 0.1, 0.2, 0.2, 0.2]
 
     def test_progress_resets_the_streak(self):
@@ -49,26 +47,25 @@ class TestBackoff:
         gov.record_death(progress=False)
         gov.record_death(progress=False)
         gov.record_progress()
-        assert gov.record_death(progress=False).delay == 0.05
+        assert gov.record_death(progress=False) == 0.05
 
     def test_progressful_death_resets_the_streak(self):
         gov, _ = governor()
         gov.record_death(progress=False)
         gov.record_death(progress=False)
         gov.record_death(progress=True)
-        assert gov.record_death(progress=False).delay == 0.05
+        assert gov.record_death(progress=False) == 0.05
 
 
 class TestCircuitBreaker:
     def test_opens_after_max_consecutive_failures(self):
         gov, _ = governor(max_failures=3)
-        assert not gov.record_death(progress=False).circuit_opened
-        assert not gov.record_death(progress=False).circuit_opened
-        decision = gov.record_death(progress=False)
-        assert decision.circuit_opened
-        assert decision.delay == 15.0
+        gov.record_death(progress=False)
+        assert not gov.circuit_open
+        gov.record_death(progress=False)
+        assert not gov.circuit_open
+        assert gov.record_death(progress=False) == 15.0
         assert gov.circuit_open
-        assert not gov.may_attempt()
 
     def test_retry_after_counts_down_with_the_clock(self):
         gov, clock = governor(max_failures=1, cooldown=10.0)
@@ -83,7 +80,6 @@ class TestCircuitBreaker:
         assert gov.circuit_open
         clock.now += 10.0
         assert not gov.circuit_open  # half-open: one attempt allowed
-        assert gov.may_attempt()
 
     def test_progress_closes_the_circuit(self):
         gov, clock = governor(max_failures=2, cooldown=10.0)
@@ -95,14 +91,13 @@ class TestCircuitBreaker:
         assert not gov.circuit_open
         assert gov.retry_after_ms() == 0
         # and the streak restarted from zero
-        assert gov.record_death(progress=False).delay == 0.05
+        assert gov.record_death(progress=False) == 0.05
 
     def test_failed_probe_reopens(self):
         gov, clock = governor(max_failures=1, cooldown=10.0)
         gov.record_death(progress=False)
         clock.now += 10.0
-        decision = gov.record_death(progress=False)  # probe died too
-        assert decision.circuit_opened
+        assert gov.record_death(progress=False) == 10.0  # probe died too
         assert gov.circuit_open
 
 

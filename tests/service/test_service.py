@@ -15,6 +15,7 @@ from repro.api.types import PROTOCOL_VERSION
 from repro.api.wire import encode_request, parse_response
 from repro.core import wal
 from repro.errors import ReproError
+from repro.service.chaos import ChaosPolicy
 from repro.service.client import ServiceClient
 from repro.service.serve import ServiceThread
 
@@ -132,6 +133,43 @@ class TestIsolation:
                 }
             assert info["iso.roll"].failed == 1
             assert info["iso.roll"].executed == 3
+
+    def test_a_busy_session_does_not_delay_another(self):
+        # Every command sleeps 300 ms on its session's thread.  Four
+        # queued for one session must not hold up another's one.
+        with ServiceThread(chaos=ChaosPolicy(slow_worker_ms=300)) as srv:
+            with client_for(srv, session="iso.busy") as busy, client_for(
+                srv, session="iso.idle"
+            ) as idle, client_for(srv) as control:
+                busy.call("new_cell", name="a")  # both sessions warm
+                idle.call("new_cell", name="b")
+                host, port = srv.address
+                with socket.create_connection(
+                    (host, port), timeout=30
+                ) as sock, sock.makefile("rwb") as f:
+                    for i in range(4):
+                        request = spec_for("new_cell").request(name=f"a{i}")
+                        line = encode_request(
+                            "new_cell", request, id=i, session="iso.busy"
+                        )
+                        f.write(line.encode() + b"\n")
+                    f.flush()
+                    deadline = time.monotonic() + 10
+                    while time.monotonic() < deadline:
+                        queued = {
+                            s.name: s.queued
+                            for s in control.call("service.sessions").sessions
+                        }
+                        if queued["iso.busy"] == 4:
+                            break
+                        time.sleep(0.01)
+                    assert queued["iso.busy"] == 4
+                    t0 = time.perf_counter()
+                    idle.call("cells")
+                    waited = time.perf_counter() - t0
+                    answers = [parse_response(f.readline()) for _ in range(4)]
+        assert all(answer.ok for answer in answers)
+        assert waited < 0.6, f"{waited:.3f}s behind the busy session"
 
 
 class TestLimits:

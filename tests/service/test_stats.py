@@ -132,7 +132,7 @@ class Server:
 
     def route(self, session: str) -> tuple[tuple[str, int], int]:
         """Claim ``session``: the address its commands execute at and
-        the lease generation they stamp (0 on a single-process server,
+        the route generation they stamp (0 on a single-process server,
         where every stamped request counts as direct too)."""
         response = self.control.call("service.route", {"session": session})
         assert response["ok"], response
